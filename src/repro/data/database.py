@@ -154,9 +154,13 @@ class Database:
         return self._data[idx]
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(ids, matrix)`` of the alive tuples, aligned row-for-row."""
+        """``(ids, matrix)`` of the alive tuples, aligned row-for-row.
+
+        Fancy indexing already returns a fresh array, so the matrix is
+        the caller's to modify.
+        """
         ids = self.ids()
-        return ids, self._data[ids].copy()
+        return ids, self._data[ids]
 
     # ------------------------------------------------------------------
     # Scoring

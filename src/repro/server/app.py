@@ -13,9 +13,11 @@ runtime (docs/SERVICE.md is the operator-facing reference):
   into the next ``apply_batch`` wave (exact-parity semantics make the
   coalescing correctness-free, per docs/ROBUSTNESS.md);
 * reads degrade explicitly: ``fresh=1`` drains and serves the exact
-  current result (with its ``result_digest``); a deadline-bounded read
-  rides the supervisor's ``serve_reads`` shedding path and may return
-  a ``stale`` view with its ``lag_ops`` marked;
+  current result; a deadline-bounded read rides the supervisor's
+  ``serve_reads`` shedding path and may return a ``stale`` view with
+  its ``lag_ops`` marked. A non-stale read carries a ``result_digest``
+  only when the client asks for it (``digest=1``), because hashing the
+  whole alive set costs far more than the O(r) read itself;
 * both transports speak the same verbs through the same handlers, and
   every failure is a typed :class:`~repro.server.protocol.ServiceError`
   envelope.
@@ -197,6 +199,7 @@ class ReproServer:
                     self._require_method(method, "POST")
                 if verb == "result":
                     fresh = request.query.get("fresh", "0") == "1"
+                    digest = request.query.get("digest", "0") == "1"
                     deadline_ms = request.query.get("deadline_ms")
                     try:
                         deadline = (float(deadline_ms)
@@ -206,7 +209,8 @@ class ReproServer:
                             "bad_request",
                             f"bad deadline_ms {deadline_ms!r}") from None
                     return await self._result(parts[2], fresh=fresh,
-                                              deadline_ms=deadline)
+                                              deadline_ms=deadline,
+                                              digest=digest)
                 return await self._tenant_verb(verb, parts[2], payload)
         raise ServiceError("not_found", f"no route for {request.path!r}",
                            {"method": method, "path": request.path})
@@ -300,7 +304,8 @@ class ReproServer:
                 tenant_id,
                 fresh=bool(get_field(payload, "fresh", bool, False)),
                 deadline_ms=get_field(payload, "deadline_ms",
-                                      (int, float), None))
+                                      (int, float), None),
+                digest=get_field(payload, "digest", bool, False))
         if verb == "close":
             return await self._evict(
                 tenant_id,
@@ -405,7 +410,8 @@ class ReproServer:
             await asyncio.sleep(0)
 
     async def _result(self, tenant_id: str, *, fresh: bool,
-                      deadline_ms: float | None) -> dict[str, Any]:
+                      deadline_ms: float | None,
+                      digest: bool) -> dict[str, Any]:
         tenant = self.registry.get(tenant_id)
         async with tenant.lock:
             self._require_live(tenant)
@@ -424,7 +430,9 @@ class ReproServer:
                 "stale": view.stale,
                 "lag_ops": view.lag_ops,
             }
-            if not view.stale:
+            # Hashed under the same lock as the drain, so the digest
+            # matches the ids above.
+            if digest and not view.stale:
                 out["result_digest"] = result_digest(tenant.session)
         return out
 

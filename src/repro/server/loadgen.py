@@ -9,11 +9,13 @@ tenants' streams — and therefore their digests — are distinct):
   admission layer gets to merge consecutive requests into waves;
 * every ``read_every``-th slice issues a deadline-bounded read and
   tallies fresh/stale serves and the maximum observed ``lag_ops``;
-* at end of stream the tenant asks for ``result?fresh=1`` and compares
-  the served ``result_digest`` against an *inline* replay of the same
-  trace through a plain :func:`~repro.api.session.open_session` — the
+* at end of stream the tenant asks for ``result?fresh=1&digest=1``
+  (the only read that opts in to the digest) and compares the served
+  ``result_digest`` against an *inline* replay of the same trace
+  through a plain :func:`~repro.api.session.open_session` — the
   machine-checked proof that the network edge (admission, coalescing,
-  quotas, concurrency) never changed what the engine computed.
+  quotas, concurrency) never changed what the engine computed. A
+  missing digest fails the check.
 
 Tenants alternate transports (HTTP keep-alive, WebSocket) so both wire
 paths face concurrent load. The CI ``serve-smoke`` job runs this via
@@ -122,11 +124,13 @@ class _Transport:
         await self._http.close()
 
 
-def _ws_result_payload(fresh: bool, deadline_ms: float | None
-                       ) -> dict[str, Any]:
+def _ws_result_payload(fresh: bool, deadline_ms: float | None, *,
+                       digest: bool = False) -> dict[str, Any]:
     payload: dict[str, Any] = {"fresh": fresh}
     if deadline_ms is not None:
         payload["deadline_ms"] = deadline_ms
+    if digest:
+        payload["digest"] = True
     return payload
 
 
@@ -188,8 +192,8 @@ async def _drive_tenant(host: str, port: int, tenant_id: str, trace: Any,
                 else:
                     tally["fresh_reads"] += 1
         final = await conn.call("result", tenant_id,
-                                _ws_result_payload(True, None),
-                                query="?fresh=1")
+                                _ws_result_payload(True, None, digest=True),
+                                query="?fresh=1&digest=1")
         stats = await conn.call("stats", tenant_id)
         service = stats.get("service", {})
         row = {
@@ -288,6 +292,8 @@ async def run_load(host: str, port: int, scenario_name: str, *,
             reference = inline_digest(traces[i], r=r_eff, k=k,
                                       seed=seed + i, eps=eps, m_max=m_max)
             row["inline_digest"] = reference
+            # A missing served digest is None, never equal to the
+            # reference string, so it fails rather than passes.
             row["parity_ok"] = row["served_digest"] == reference
             parity_ok = parity_ok and row["parity_ok"]
     p99 = max((float(row.get("admission_ms", {}).get("p99", 0.0))

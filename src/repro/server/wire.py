@@ -189,6 +189,18 @@ def websocket_accept(key: str) -> str:
     return base64.b64encode(digest).decode("latin-1")
 
 
+def _ws_mask(payload: bytes, mask: bytes) -> bytes:
+    """XOR ``payload`` with the 4-byte ``mask`` repeated (§5.3).
+
+    Masking and unmasking are the same operation; one big-int XOR over
+    the whole payload avoids a Python-level loop per byte.
+    """
+    n = len(payload)
+    keys = (mask * (n // 4 + 1))[:n]
+    return (int.from_bytes(payload, "little")
+            ^ int.from_bytes(keys, "little")).to_bytes(n, "little")
+
+
 def _ws_encode_frame(opcode: int, payload: bytes, *,
                      mask: bytes | None = None) -> bytes:
     head = bytearray([0x80 | opcode])
@@ -204,7 +216,7 @@ def _ws_encode_frame(opcode: int, payload: bytes, *,
         head += struct.pack(">Q", length)
     if mask is not None:
         head += mask
-        payload = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
+        payload = _ws_mask(payload, mask)
     return bytes(head) + payload
 
 
@@ -226,7 +238,7 @@ async def _ws_read_frame(reader: asyncio.StreamReader, *,
     mask = await reader.readexactly(4) if masked else b""
     payload = await reader.readexactly(length)
     if masked:
-        payload = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
+        payload = _ws_mask(payload, mask)
     return opcode, fin, payload
 
 

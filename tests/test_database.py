@@ -92,6 +92,9 @@ class TestAccessors:
         assert ids.shape[0] == pts.shape[0] == 299
         row = int(np.flatnonzero(ids == 11)[0])
         assert np.allclose(pts[row], small_cloud[11])
+        # The matrix is the caller's: writing to it leaves the db as is.
+        pts[row] = -1.0
+        assert np.array_equal(db.point(11), small_cloud[11])
 
 
 class TestScoring:

@@ -30,7 +30,15 @@ from repro.server.protocol import (
     require_field,
 )
 from repro.server.loadgen import inline_digest, run_load, wait_ready
-from repro.server.wire import HttpClient, WebSocketClient, websocket_accept
+from repro.server.wire import (
+    WS_OP_TEXT,
+    HttpClient,
+    WebSocketClient,
+    _ws_encode_frame,
+    _ws_mask,
+    _ws_read_frame,
+    websocket_accept,
+)
 from repro.service.supervisor import result_digest
 
 
@@ -107,6 +115,43 @@ class TestProtocol:
         assert get_field({}, "k", int, 7) == 7
 
 
+def _byte_loop_mask(payload: bytes, mask: bytes) -> bytes:
+    """The per-byte RFC 6455 masking loop, kept as a reference."""
+    return bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
+
+
+def _read_frame(data: bytes) -> tuple[int, bool, bytes]:
+    async def run() -> tuple[int, bool, bytes]:
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await _ws_read_frame(reader, max_len=1 << 20)
+
+    return asyncio.run(run())
+
+
+class TestWebSocketMasking:
+    def test_rfc6455_masked_hello_vector(self):
+        # The single-frame masked text example from RFC 6455 section 5.7.
+        frame = bytes([0x81, 0x85, 0x37, 0xFA, 0x21, 0x3D,
+                       0x7F, 0x9F, 0x4D, 0x51, 0x58])
+        mask = frame[2:6]
+        assert _ws_encode_frame(WS_OP_TEXT, b"Hello", mask=mask) == frame
+        assert _read_frame(frame) == (WS_OP_TEXT, True, b"Hello")
+
+    @pytest.mark.parametrize("length",
+                             [0, 1, 3, 4, 5, 125, 126, 65536])
+    def test_mask_matches_byte_loop_reference(self, length):
+        payload = np.random.default_rng(length).bytes(length)
+        mask = b"\x9c\x01\xff\x42"
+        masked = _ws_mask(payload, mask)
+        assert masked == _byte_loop_mask(payload, mask)
+        assert _ws_mask(masked, mask) == payload
+        frame = _ws_encode_frame(WS_OP_TEXT, payload, mask=mask)
+        assert frame.endswith(masked)
+        assert _read_frame(frame) == (WS_OP_TEXT, True, payload)
+
+
 # ----------------------------------------------------------------------
 # HTTP endpoint round trips
 # ----------------------------------------------------------------------
@@ -140,6 +185,13 @@ class TestHttpEndpoints:
                     "GET", "/v1/tenants/alpha/result?fresh=1")
                 body = resp.json()
                 assert resp.status == 200 and body["stale"] is False
+                assert "result_digest" not in body  # opt-in only
+                ids = body["ids"]
+
+                resp = await client.request(
+                    "GET", "/v1/tenants/alpha/result?fresh=1&digest=1")
+                body = resp.json()
+                assert body["ids"] == ids
                 assert body["result_digest"] == _reference_digest(
                     points, ops)
 
@@ -179,7 +231,7 @@ class TestHttpEndpoints:
                 assert resp.status == 200
                 assert resp.json()["admitted"] == 10
                 resp = await client.request(
-                    "GET", "/v1/tenants/t/result?fresh=1")
+                    "GET", "/v1/tenants/t/result?fresh=1&digest=1")
                 digest = resp.json()["result_digest"]
                 assert digest == _reference_digest(
                     points, [{"kind": "delete", "id": i}
@@ -266,8 +318,19 @@ class TestWebSocketTransport:
                 reply = await ws.round_trip(
                     {"rid": 3, "verb": "result", "tenant": "w",
                      "payload": {"fresh": True}})
+                assert "result_digest" not in reply["data"]  # opt-in only
+
+                reply = await ws.round_trip(
+                    {"rid": 3, "verb": "result", "tenant": "w",
+                     "payload": {"fresh": True, "digest": True}})
                 assert reply["data"]["result_digest"] == _reference_digest(
                     points, ops)
+
+                reply = await ws.round_trip(
+                    {"rid": 3, "verb": "result", "tenant": "w",
+                     "payload": {"fresh": True, "digest": 1}})
+                assert reply["ok"] is False
+                assert reply["error"]["code"] == "bad_request"
 
                 reply = await ws.round_trip(
                     {"rid": 4, "verb": "server_stats"})
@@ -292,7 +355,7 @@ class TestWebSocketTransport:
     def test_oversized_frame_gets_a_1009_close_frame(self):
         import struct
 
-        from repro.server.wire import WS_OP_CLOSE, _ws_read_frame
+        from repro.server.wire import WS_OP_CLOSE
 
         async def run() -> tuple[int, int]:
             server = await _booted(max_body_bytes=1024)
@@ -340,7 +403,7 @@ class TestTenantRegistry:
                 await client.request("POST", "/v1/tenants/first/batch",
                                      {"ops": ops})
                 resp = await client.request(
-                    "GET", "/v1/tenants/first/result?fresh=1")
+                    "GET", "/v1/tenants/first/result?fresh=1&digest=1")
                 digest = resp.json()["result_digest"]
 
                 # Opening a second tenant in a 1-slot registry evicts
@@ -357,7 +420,7 @@ class TestTenantRegistry:
                     _open_payload(points, resume=True))
                 assert resp.status == 200
                 resp = await client.request(
-                    "GET", "/v1/tenants/first/result?fresh=1")
+                    "GET", "/v1/tenants/first/result?fresh=1&digest=1")
                 assert resp.json()["result_digest"] == digest
                 assert server.registry.counters["resumed"] == 1
             finally:
@@ -502,14 +565,15 @@ class TestDegradation:
                 registry_admitted = server.registry.admit(
                     tenant, _insert_ops(14, 32))
                 assert registry_admitted == 32
+                # Asking for the digest never attaches it to a stale view.
                 view = await server._result("s", fresh=False,
-                                            deadline_ms=0.0)
+                                            deadline_ms=0.0, digest=True)
                 assert view["stale"] is True
                 assert view["lag_ops"] > 0
                 assert "result_digest" not in view
                 # A fresh read afterwards drains and converges.
                 view = await server._result("s", fresh=True,
-                                            deadline_ms=None)
+                                            deadline_ms=None, digest=True)
                 assert view["stale"] is False
                 assert view["lag_ops"] == 0
                 assert view["result_digest"] == result_digest(
@@ -578,6 +642,32 @@ class TestMultiTenantIsolation:
             assert row["served_digest"] == row["inline_digest"], row
         # The driver evicted its tenants, leaving the server reusable.
         assert out["tenants_left"] == 0
+
+    def test_missing_served_digest_fails_parity(self):
+        async def run() -> dict[str, Any]:
+            server = await _booted()
+            result = server._result
+
+            async def without_digest(*args: Any, **kwargs: Any
+                                     ) -> dict[str, Any]:
+                out = await result(*args, **kwargs)
+                out.pop("result_digest", None)
+                return out
+
+            server._result = without_digest  # type: ignore[method-assign]
+            try:
+                return await run_load(
+                    server.host, server.port, "mixed-batch",
+                    tenants=2, n=80, seed=0, r=6, m_max=32,
+                    read_every=0, deadline_ms=1.0)
+            finally:
+                await server.close()
+
+        summary = asyncio.run(run())
+        assert summary["parity_ok"] is False
+        for row in summary["per_tenant"]:
+            assert row["served_digest"] is None
+            assert row["parity_ok"] is False
 
     def test_serve_load_is_repeatable_against_a_standing_server(self):
         async def run() -> tuple[dict[str, Any], dict[str, Any]]:
