@@ -237,9 +237,8 @@ def _supervised_leg(trace, scenario, evaluator, r_eff, args,
 
     hints = dict(scenario.service)
     read_every = int(hints.pop("read_every", 0))
-    tenants = int(hints.pop("tenants", 4))
     service = ServiceOptions(config=SupervisorConfig(**hints),
-                             read_every=read_every, tenants=tenants)
+                             read_every=read_every)
     res = replay_trace(trace, "fd-rms", r=r_eff, k=args.k,
                        seed=args.seed, evaluator=evaluator,
                        options=options, service=service)

@@ -16,10 +16,6 @@ Commands
               :class:`~repro.service.SessionSupervisor`; ``--chaos``
               adds seeded runtime fault injection (final state digests
               stay byte-identical to a fault-free run).
-``serve-sim`` simulate a multi-tenant service over a scenario trace:
-              supervised admission, deadline-bounded per-tenant reads
-              (stale-marked under overload), optional chaos; prints an
-              SLO summary.
 ``serve``     run the real multi-tenant network service: an asyncio
               HTTP + WebSocket front-end where each tenant maps to one
               :class:`~repro.service.SessionSupervisor` (admission
@@ -191,9 +187,6 @@ def _service_options(scenario, args):
             raise CLIError(f"bad --service-hint value {value!r} "
                            f"for {key!r}") from None
     read_every = int(hints.pop("read_every", 0))
-    tenants = int(hints.pop("tenants", 4))
-    if getattr(args, "tenants", None) is not None:
-        tenants = int(args.tenants)
     try:
         config = SupervisorConfig(**hints)
     except (TypeError, ValueError) as exc:
@@ -205,8 +198,7 @@ def _service_options(scenario, args):
             chaos = parse_chaos(args.chaos, seed=args.chaos_seed)
         except ValueError as exc:
             raise CLIError(str(exc)) from None
-    return ServiceOptions(config=config, chaos=chaos,
-                          read_every=read_every, tenants=tenants)
+    return ServiceOptions(config=config, chaos=chaos, read_every=read_every)
 
 
 def _print_service_summary(report: dict) -> None:
@@ -219,10 +211,6 @@ def _print_service_summary(report: dict) -> None:
             f"retries={report.get('retries', 0)} "
             f"breaker_trips={report.get('breaker', {}).get('trips', 0)}")
     print(line)
-    for tag, tally in (report.get("per_tenant") or {}).items():
-        print(f"  {tag}: reads={tally['reads']} "
-              f"fresh={tally['fresh']} stale={tally['stale']} "
-              f"max_lag_ops={tally['max_lag_ops']}")
     if "chaos" in report:
         injected = ", ".join(f"{key}={value}" for key, value
                              in sorted(report["chaos"].items()) if value)
@@ -342,41 +330,6 @@ def cmd_replay(args) -> int:
     if args.json_out:
         Path(args.json_out).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"metrics written to {args.json_out}")
-    return 0
-
-
-def cmd_serve_sim(args) -> int:
-    from pathlib import Path
-
-    from repro.scenarios import (
-        UnknownArrivalError,
-        UnknownScenarioError,
-        get_scenario,
-    )
-    from repro.scenarios.replay import floor_r
-    from repro.service.driver import simulate_service
-    try:
-        scenario = get_scenario(args.scenario)
-        trace = scenario.compile(seed=args.seed, n=args.n)
-    except (UnknownScenarioError, UnknownArrivalError) as exc:
-        raise CLIError(str(exc)) from None
-    service = _service_options(scenario, args)
-    r_eff = floor_r(args.r, trace.d)
-    options = {"eps": args.eps, "m_max": args.m_max}
-    if args.workers is not None:
-        options["parallel"] = args.workers
-    summary = simulate_service(trace, args.algorithm, r=r_eff, k=args.k,
-                               seed=args.seed, options=options,
-                               service=service)
-    print(f"serve-sim {summary['scenario']} ({summary['algorithm']}): "
-          f"{summary['n_operations']} ops over {summary['ticks']} ticks, "
-          f"{summary['tenants']} tenants")
-    print(f"stale tenant serves: {summary['stale_tenant_serves']} "
-          f"(result |Q| = {summary['result_size']})")
-    _print_service_summary(summary["service"])
-    if args.json_out:
-        Path(args.json_out).write_text(json.dumps(summary, indent=2) + "\n")
-        print(f"summary written to {args.json_out}")
     return 0
 
 
@@ -657,37 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="override a scenario service hint (e.g. "
                            "--service-hint read_deadline_s=0); "
                            "repeatable")
-    p_rp.set_defaults(func=cmd_replay, tenants=None)
-
-    p_sim = sub.add_parser(
-        "serve-sim",
-        help="simulate a multi-tenant service over a scenario trace")
-    p_sim.add_argument("scenario",
-                       help="scenario name (see `repro scenarios`)")
-    p_sim.add_argument("--algorithm", default="FD-RMS")
-    p_sim.add_argument("--n", type=int, default=None,
-                       help="dataset size (default: the scenario's)")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--k", type=int, default=1)
-    p_sim.add_argument("--r", type=int, default=10)
-    p_sim.add_argument("--eps", type=float, default=0.1)
-    p_sim.add_argument("--m-max", type=int, default=128, dest="m_max")
-    p_sim.add_argument("--tenants", type=int, default=None,
-                       help="simulated read tenants per tick "
-                            "(default: the scenario's service hint)")
-    p_sim.add_argument("--workers", type=int, default=None,
-                       help="FD-RMS execution backend worker count")
-    p_sim.add_argument("--chaos", default=None,
-                       help="runtime fault injection spec (see replay)")
-    p_sim.add_argument("--chaos-seed", type=int, default=0,
-                       dest="chaos_seed")
-    p_sim.add_argument("--service-hint", action="append", default=None,
-                       dest="service_hints", metavar="KEY=VALUE",
-                       help="override a scenario service hint; "
-                            "repeatable")
-    p_sim.add_argument("--json", default=None, dest="json_out",
-                       help="write the SLO summary as JSON to this path")
-    p_sim.set_defaults(func=cmd_serve_sim)
+    p_rp.set_defaults(func=cmd_replay)
 
     p_srv = sub.add_parser(
         "serve",

@@ -54,7 +54,6 @@ from repro.index.conetree import ConeTree
 from repro.index.kdtree import KDTree
 from repro.parallel import blocks as _pblocks
 from repro.parallel.backend import ExecutionBackend
-from repro.parallel.compiled import eviction_positions, reached_utilities
 from repro.utils import check_epsilon, check_k
 
 ADD = "+"
@@ -1094,7 +1093,7 @@ class ApproxTopKIndex:
             log.extend_one_pid(reached, pid, ADD_CODE)
             return
         taus = (1.0 - self._eps) * store.kth_vector(reached)
-        evict_pos = eviction_positions(store.min_vector(reached), taus)
+        evict_pos = np.flatnonzero(store.min_vector(reached) < taus)
         if evict_pos.size == 0:
             log.extend_one_pid(reached, pid, ADD_CODE)
         else:
@@ -1315,10 +1314,7 @@ class _InsertRun:
         if n <= index._k + 1:
             reached = np.arange(index._m_total, dtype=np.intp)
         else:
-            # Exact comparison through the feature-detected compiled
-            # shim (numba prange when available, same NumPy expression
-            # otherwise) — identical results either way.
-            reached = reached_utilities(row, index._thresholds_vector())
+            reached = np.flatnonzero(row >= index._thresholds_vector())
         index._absorb_new_tuple(pid, row, n, reached, log)
         return pid, log
 

@@ -24,18 +24,14 @@ from .backend import (
     SharedMemoryBackend,
     resolve_backend,
 )
-from .compiled import HAVE_NUMBA, eviction_positions, reached_utilities
 from .shm import ShmArena, ShmRef
 
 __all__ = [
     "ExecutionBackend",
-    "HAVE_NUMBA",
     "ParallelExecutionError",
     "SerialBackend",
     "SharedMemoryBackend",
     "ShmArena",
     "ShmRef",
-    "eviction_positions",
-    "reached_utilities",
     "resolve_backend",
 ]

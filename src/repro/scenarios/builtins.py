@@ -351,7 +351,7 @@ BUILTIN_SCENARIOS = tuple(register_scenario(s) for s in (
                 "burst_fraction": 0.15},
         service={"max_wave": 64, "wave_budget_s": 0.002,
                  "pump_budget_s": 0.004, "read_deadline_s": 0.002,
-                 "queue_limit": 2048, "read_every": 1, "tenants": 4},
+                 "queue_limit": 2048, "read_every": 1},
     ),
     Scenario(
         name="chaos-churn",
@@ -362,7 +362,7 @@ BUILTIN_SCENARIOS = tuple(register_scenario(s) for s in (
                 "initial_fraction": 0.5, "batch_min": 16,
                 "batch_max": 48},
         service={"max_wave": 32, "checkpoint_every_ops": 256,
-                 "read_every": 4, "tenants": 2},
+                 "read_every": 4},
     ),
     Scenario(
         name="overload-multitenant",
@@ -375,6 +375,6 @@ BUILTIN_SCENARIOS = tuple(register_scenario(s) for s in (
                 "max_batch": 16},
         service={"max_wave": 32, "wave_budget_s": 0.002,
                  "pump_budget_s": 0.004, "read_deadline_s": 0.002,
-                 "read_every": 2, "tenants": 2},
+                 "read_every": 2},
     ),
 ))

@@ -82,9 +82,9 @@ class Scenario:
         compiled workload carries.
     service : mapping
         Supervisor hints for supervised replays (``repro replay
-        --supervised``, ``repro serve-sim``): keys are
+        --supervised``): keys are
         :class:`~repro.service.policy.SupervisorConfig` fields plus the
-        driver's ``read_every``/``tenants``. Purely a runtime default —
+        driver's ``read_every``. Purely a runtime default —
         never part of the compiled trace or its content hash.
     """
 

@@ -13,9 +13,9 @@ runtime (docs/SERVICE.md is the operator-facing reference):
   into the next ``apply_batch`` wave (exact-parity semantics make the
   coalescing correctness-free, per docs/ROBUSTNESS.md);
 * reads degrade explicitly: ``fresh=1`` drains and serves the exact
-  current result; a deadline-bounded read rides the supervisor's
-  ``serve_reads`` shedding path and may return a ``stale`` view with
-  its ``lag_ops`` marked. A non-stale read carries a ``result_digest``
+  current result; a deadline-bounded read goes through the
+  supervisor's ``read`` shedding path and may return a ``stale`` view
+  with its ``lag_ops`` marked. A non-stale read carries a ``result_digest``
   only when the client asks for it (``digest=1``), because hashing the
   whole alive set costs far more than the O(r) read itself;
 * both transports speak the same verbs through the same handlers, and
@@ -417,13 +417,11 @@ class ReproServer:
             self._require_live(tenant)
             if fresh:
                 tenant.supervisor.drain()
-                view = tenant.supervisor.read(
-                    deadline_s=_FRESH_DEADLINE_S, tag=tenant_id)
+                view = tenant.supervisor.read(deadline_s=_FRESH_DEADLINE_S)
             else:
                 deadline_s = (deadline_ms / 1e3
                               if deadline_ms is not None else None)
-                view = tenant.supervisor.read(deadline_s=deadline_s,
-                                              tag=tenant_id)
+                view = tenant.supervisor.read(deadline_s=deadline_s)
             out: dict[str, Any] = {
                 "tenant": tenant_id,
                 "ids": [int(i) for i in view.ids],

@@ -15,31 +15,24 @@ package adds the robustness a long-lived service needs *between* calls:
 * :mod:`~repro.service.policy` — the typed failure policy:
   :class:`RetryPolicy` (capped exponential backoff, deterministic — no
   wall-clock-seeded jitter), :class:`CircuitBreaker`, and the
-  :class:`CostModel` behind cost-ordered scheduling (the
-  ``sort_by_cost`` / timeout / incremental pattern).
+  :class:`CostModel` that sizes waves and decides when a read is shed.
 * :mod:`~repro.service.chaos` — seeded, deterministic runtime fault
   injectors (latency spikes, worker-pool kills, malformed batch ops,
   checkpoint-write failures, transient transport faults) that plug into
   the replay driver; under every injector the supervised run's final
   state digest is byte-identical to a fault-free run.
-* :mod:`~repro.service.driver` — the supervised replay/simulation loop
-  behind ``repro replay --supervised [--chaos ...]`` and
-  ``repro serve-sim``.
+* :mod:`~repro.service.driver` — the supervised replay loop behind
+  ``repro replay --supervised [--chaos ...]``.
 
 The digest-safety contract (docs/ROBUSTNESS.md): supervision and chaos
 may change *when* work happens — latency, wave boundaries, retry
 counts, staleness of shed reads — but never *what* the engine computes.
-Write order is FIFO (tuple-id assignment makes write order semantic);
-only side-effect-free read requests are reordered by estimated cost.
+Write order is FIFO (tuple-id assignment makes write order semantic).
 """
 
 from repro.service.chaos import ChaosConfig, ChaosInjector, parse_chaos
 from repro.service.clock import Clock, MonotonicClock, VirtualClock
-from repro.service.driver import (
-    ServiceOptions,
-    SupervisedDriver,
-    simulate_service,
-)
+from repro.service.driver import ServiceOptions, SupervisedDriver
 from repro.service.policy import (
     BreakerOpenError,
     CircuitBreaker,
@@ -76,5 +69,4 @@ __all__ = [
     "VirtualClock",
     "parse_chaos",
     "result_digest",
-    "simulate_service",
 ]

@@ -1,4 +1,4 @@
-"""The supervised replay / service-simulation loop.
+"""The supervised replay loop.
 
 Glue between the scenario layer and the service layer:
 
@@ -12,28 +12,20 @@ Glue between the scenario layer and the service layer:
   and *required* to be rejected), ``barrier`` (drain before snapshot
   marks — which is why supervised snapshots are byte-identical to
   unsupervised ones), reads, and the merged service report.
-* :func:`simulate_service` — the ``repro serve-sim`` loop: replays a
-  scenario trace as arrival ticks with per-tenant read traffic, and
-  returns an SLO-oriented summary (admission percentiles, fresh/stale
-  serves, chaos tallies, final state digest).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.api.session import BatchValidationError, Session
 from repro.service.chaos import ChaosConfig, ChaosInjector
 from repro.service.clock import Clock, MonotonicClock
 from repro.service.policy import SupervisorConfig
-from repro.service.supervisor import (
-    ReadRequest,
-    ReadView,
-    SessionSupervisor,
-)
+from repro.service.supervisor import ReadView, SessionSupervisor
 
-__all__ = ["ServiceOptions", "SupervisedDriver", "simulate_service"]
+__all__ = ["ServiceOptions", "SupervisedDriver"]
 
 
 @dataclass(frozen=True)
@@ -47,8 +39,6 @@ class ServiceOptions:
     #: Issue one deadline-bounded read every N feeds (0 = no read
     #: traffic during replay; snapshot marks still read via barrier).
     read_every: int = 0
-    #: Simulated read tenants per tick (``simulate_service`` only).
-    tenants: int = 4
 
 
 class SupervisedDriver:
@@ -71,10 +61,6 @@ class SupervisedDriver:
             checkpoint_dir=self.options.checkpoint_dir,
             checkpoint_hook=checkpoint_hook)
         self._feeds = 0
-        # Per-read-tag serve tallies (tenant ids for serve_tenants,
-        # "driver" for the replay loop's own reads). Like every service
-        # counter these stay outside determinism digests.
-        self._tenant_tallies: dict[str, dict[str, int]] = {}
 
     def feed(self, ops: Sequence[Any]) -> ReadView | None:
         """Admit one arrival batch and pump; maybe serve a read.
@@ -100,9 +86,7 @@ class SupervisedDriver:
         self._feeds += 1
         every = self.options.read_every
         if every > 0 and self._feeds % every == 0:
-            view = self.supervisor.read(tag=f"feed{self._feeds}")
-            self._record_view("driver", view)
-            return view
+            return self.supervisor.read()
         return None
 
     def barrier(self) -> None:
@@ -110,33 +94,12 @@ class SupervisedDriver:
         recorded result ids never depend on wave boundaries."""
         self.supervisor.drain()
 
-    def serve_tenants(self, count: int) -> list[ReadView]:
-        """One tick of per-tenant read traffic (cost-ordered)."""
-        requests = [ReadRequest(tag=f"tenant{i}") for i in range(count)]
-        views = self.supervisor.serve_reads(requests)
-        for view in views:
-            self._record_view(view.tag, view)
-        return views
-
-    def _record_view(self, key: str, view: ReadView) -> None:
-        tally = self._tenant_tallies.setdefault(
-            key, {"reads": 0, "fresh": 0, "stale": 0, "max_lag_ops": 0})
-        tally["reads"] += 1
-        tally["stale" if view.stale else "fresh"] += 1
-        tally["max_lag_ops"] = max(tally["max_lag_ops"], view.lag_ops)
-
     def service_report(self) -> dict[str, Any]:
         """Supervisor counters + chaos tallies + final state digest.
 
-        ``per_tenant`` keys the serve tallies by tenant id (read tag),
-        so a multi-tenant simulation's report shows who got served
-        stale, not just how often. Everything here stays outside
-        ``determinism_digest()``.
+        Everything here stays outside ``determinism_digest()``.
         """
         out = self.supervisor.counters()
-        if self._tenant_tallies:
-            out["per_tenant"] = {key: dict(value) for key, value
-                                 in sorted(self._tenant_tallies.items())}
         if self.injector is not None:
             out["chaos"] = dict(self.injector.counters)
             out["chaos_active"] = list(self.options.chaos.active)
@@ -146,59 +109,3 @@ class SupervisedDriver:
         out["result_digest"] = self.supervisor.result_digest()
         return out
 
-
-def simulate_service(trace: Any, algorithm: str = "fd-rms", *, r: int,
-                     k: int = 1, seed: int | None = 0,
-                     options: Mapping[str, Any] | None = None,
-                     service: ServiceOptions | None = None
-                     ) -> dict[str, Any]:
-    """Run one scenario trace as a multi-tenant service simulation.
-
-    Each batch-plan slice is one arrival tick: its operations are
-    admitted through the supervisor, then every simulated tenant issues
-    a deadline-bounded read (served cost-ordered, stale past the
-    deadline). Returns a JSON-ready SLO summary; the final state digest
-    is taken after a full drain, so it is comparable against a plain
-    (unsupervised, fault-free) replay of the same trace.
-    """
-    # Imported here: the scenario layer imports this module's siblings,
-    # and the service package must stay importable without it.
-    from repro.api.registry import get_algorithm
-    from repro.api.session import open_session
-    from repro.scenarios.replay import batch_slices
-
-    spec = get_algorithm(algorithm)
-    routed = {key: value
-              for key, value in sorted(dict(options or {}).items())
-              if spec.accepts_var_kwargs or key in spec.option_names}
-    service = service or ServiceOptions()
-    workload = trace.workload
-    session = open_session(workload.initial, r, k=k, algo=algorithm,
-                           seed=seed, **routed)
-    ticks = 0
-    stale_tags: list[str] = []
-    try:
-        driver = SupervisedDriver(session, service)
-        for start, stop in batch_slices(trace):
-            driver.feed(workload.operations[start:stop])
-            for view in driver.serve_tenants(service.tenants):
-                if view.stale:
-                    stale_tags.append(view.tag)
-            ticks += 1
-        driver.barrier()
-        report = driver.service_report()
-        return {
-            "scenario": trace.scenario,
-            "algorithm": spec.display_name,
-            "trace_hash": trace.content_hash,
-            "n_operations": workload.n_operations,
-            "ticks": ticks,
-            "tenants": service.tenants,
-            "stale_tenant_serves": len(stale_tags),
-            "result_size": len(session.result()),
-            "service": report,
-        }
-    finally:
-        closer = getattr(session, "close", None)
-        if callable(closer):
-            closer()

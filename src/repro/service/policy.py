@@ -14,9 +14,9 @@ Three small, independently testable pieces the supervisor composes:
   probe (the supervisor uses it to attempt worker-pool
   re-establishment).
 * :class:`CostModel` — per-kind EWMA of observed per-operation cost,
-  seeded with a prior so the first wave is already bounded. This is
-  what orders read requests (cheapest first, litmus-style
-  ``sort_by_cost``) and sizes write waves against their time-box.
+  seeded with a prior so the first wave is already bounded. It sizes
+  write waves against their time-box and decides when a read's
+  estimated cost exceeds its deadline (the read is then shed).
 
 Transient-vs-permanent classification is explicit:
 :func:`is_transient` names the retryable exception types; everything
@@ -182,9 +182,8 @@ class CostModel:
     Observed wave costs (seconds, from the supervisor's clock) update
     the per-kind estimate with weight ``alpha``; until a kind has been
     observed, ``prior_s`` bounds the first wave. Estimates feed two
-    schedulers: write-wave sizing against the wave time-box, and
-    cheapest-first ordering of read requests (reads are the only
-    requests that may be reordered — write order is semantic).
+    decisions: write-wave sizing against the wave time-box, and whether
+    a read's estimated cost exceeds its deadline (it is then shed).
     """
 
     def __init__(self, *, prior_s: float = 1e-4, alpha: float = 0.3) -> None:

@@ -14,10 +14,7 @@ Concretely:
   exact parity (PR 2/5) means wave boundaries are free: any split of
   the same operation sequence yields a byte-identical engine state.
 * **Write order is semantic.** Tuple ids are assigned in application
-  order, so write operations are *never* reordered — cost-aware
-  scheduling reorders only side-effect-free read requests
-  (cheapest-first with litmus-style timeout semantics: once one read
-  misses its budget, every costlier read is served stale immediately).
+  order, so write operations are *never* reordered.
 * **Time-boxed waves, leftover resume.** The cost model sizes each
   wave so its estimated cost fits the wave budget; whatever remains
   queued simply resumes in the next wave. Deadlines bound latency,
@@ -64,8 +61,7 @@ from repro.service.policy import (
     is_transient,
 )
 
-__all__ = ["ReadRequest", "ReadView", "ServiceReport", "SessionSupervisor",
-           "result_digest"]
+__all__ = ["ReadView", "ServiceReport", "SessionSupervisor", "result_digest"]
 
 #: Cost-model key for result materialization (reads).
 _READ_KIND = "read"
@@ -98,14 +94,6 @@ def result_digest(session: Session) -> str:
 
 
 @dataclass(frozen=True)
-class ReadRequest:
-    """One queued read: a tag for the caller, an optional deadline."""
-
-    tag: str = ""
-    deadline_s: float | None = None
-
-
-@dataclass(frozen=True)
 class ReadView:
     """A served read: result ids plus an explicit staleness marker.
 
@@ -118,7 +106,6 @@ class ReadView:
     ids: tuple[int, ...]
     stale: bool
     lag_ops: int
-    tag: str = ""
 
 
 @dataclass
@@ -449,68 +436,42 @@ class SessionSupervisor:
         return applied
 
     # -- reads ---------------------------------------------------------
-    def _read_cost(self, _req: ReadRequest) -> float:
-        kinds = [op.kind for op in self._queue]
-        return (self._cost.estimate_ops(kinds)
-                + self._cost.estimate(_READ_KIND))
-
-    def _materialize(self, tag: str) -> ReadView:
+    def _materialize(self) -> ReadView:
         start = self._clock.now()
         ids = tuple(self._session.result())
         self._cost.observe(_READ_KIND, self._clock.now() - start)
         self._last_result = ids
         self.report.fresh_serves += 1
-        return ReadView(ids=ids, stale=False, lag_ops=0, tag=tag)
+        return ReadView(ids=ids, stale=False, lag_ops=0)
 
-    def _serve_stale(self, tag: str) -> ReadView:
+    def _serve_stale(self) -> ReadView:
         assert self._last_result is not None
         self.report.stale_serves += 1
         return ReadView(ids=self._last_result, stale=True,
-                        lag_ops=len(self._queue), tag=tag)
+                        lag_ops=len(self._queue))
 
-    def serve_reads(self, requests: Sequence[ReadRequest]
-                    ) -> list[ReadView]:
-        """Serve read requests cost-ordered with timeout degradation.
+    def read(self, *, deadline_s: float | None = None) -> ReadView:
+        """Serve one read under a deadline (stale beyond it).
 
-        Reads are side-effect-free, so they are the one request class
-        the supervisor reorders: cheapest estimated cost first (the
-        litmus ``sort_by_cost`` pattern). Each request's budget is its
-        deadline (or the config default); a read whose estimate exceeds
-        its budget — or any read after the first one that actually ran
-        out of time — is served from the last materialized result with
-        a staleness marker instead of blocking. A fresh result is
-        always produced if none was ever materialized (there is nothing
-        meaningful to shed to).
+        The budget is ``deadline_s`` (or the config default). A fresh
+        result is always produced if none was ever materialized (there
+        is nothing meaningful to shed to); a read whose estimated cost
+        (queued ops plus materialization) exceeds its budget is served
+        from the last materialized result with a staleness marker;
+        otherwise waves run until the queue drains or the budget runs
+        out, and the read is served fresh or stale accordingly.
         """
-        views: list[ReadView | None] = [None] * len(requests)
-        order = sorted(range(len(requests)),
-                       key=lambda i: (self._read_cost(requests[i]), i))
-        timed_out = False
-        for i in order:
-            req = requests[i]
-            budget = (self.config.read_deadline_s if req.deadline_s is None
-                      else req.deadline_s)
-            if self._last_result is None:
-                self.report.forced_materializations += 1
-                self.drain()
-                views[i] = self._materialize(req.tag)
-                continue
-            if timed_out or self._read_cost(req) > budget:
-                timed_out = True
-                views[i] = self._serve_stale(req.tag)
-                continue
-            start = self._clock.now()
-            while self._queue and self._clock.now() - start < budget:
-                self._pump_wave()
-            if self._queue:
-                timed_out = True
-                views[i] = self._serve_stale(req.tag)
-            else:
-                views[i] = self._materialize(req.tag)
-        return [view for view in views if view is not None]
-
-    def read(self, *, deadline_s: float | None = None,
-             tag: str = "") -> ReadView:
-        """Serve one read under a deadline (stale beyond it)."""
-        return self.serve_reads([ReadRequest(tag=tag,
-                                             deadline_s=deadline_s)])[0]
+        budget = (self.config.read_deadline_s if deadline_s is None
+                  else deadline_s)
+        if self._last_result is None:
+            self.report.forced_materializations += 1
+            self.drain()
+            return self._materialize()
+        cost = (self._cost.estimate_ops([op.kind for op in self._queue])
+                + self._cost.estimate(_READ_KIND))
+        if cost > budget:
+            return self._serve_stale()
+        start = self._clock.now()
+        while self._queue and self._clock.now() - start < budget:
+            self._pump_wave()
+        return self._serve_stale() if self._queue else self._materialize()

@@ -20,12 +20,9 @@ import repro.parallel.blocks as blocks
 from repro.core.fdrms import FDRMS
 from repro.data.database import DELETE, INSERT, Database, Operation
 from repro.parallel import (
-    HAVE_NUMBA,
     SerialBackend,
     SharedMemoryBackend,
     ShmArena,
-    eviction_positions,
-    reached_utilities,
     resolve_backend,
 )
 from repro.parallel.kernels import KERNELS, bootstrap_chunk
@@ -333,33 +330,6 @@ def test_restore_reestablishes_pool_digest_exact(
     assert survivor.state_digest() == reference.state_digest()
     survivor.close()
     reference.close()
-
-
-# ----------------------------------------------------------------------
-# Compiled scalar tails (feature-detected; CI runs the NumPy branch)
-# ----------------------------------------------------------------------
-
-def test_compiled_shim_matches_numpy_expressions():
-    rng = np.random.default_rng(11)
-    row = rng.standard_normal(257)
-    taus = rng.standard_normal(257)
-    assert np.array_equal(reached_utilities(row, taus),
-                          np.flatnonzero(row >= taus))
-    assert np.array_equal(eviction_positions(row, taus),
-                          np.flatnonzero(row < taus))
-    # Exactly-equal scores must count as reached (>= semantics).
-    assert np.array_equal(reached_utilities(taus.copy(), taus),
-                          np.arange(257))
-    assert eviction_positions(taus.copy(), taus).size == 0
-
-
-def test_have_numba_reflects_environment():
-    try:
-        import numba  # noqa: F401
-        expected = True
-    except ImportError:
-        expected = False
-    assert HAVE_NUMBA is expected
 
 
 # ----------------------------------------------------------------------

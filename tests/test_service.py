@@ -18,7 +18,6 @@ from repro.data.database import DELETE, INSERT, Operation
 from repro.service import (
     ChaosConfig,
     ChaosInjector,
-    RetryExhaustedError,
     RetryPolicy,
     ServiceOptions,
     SessionSupervisor,
@@ -27,7 +26,6 @@ from repro.service import (
     TransientServiceError,
     VirtualClock,
     parse_chaos,
-    simulate_service,
 )
 from repro.scenarios.replay import batch_slices
 from repro.service.policy import CircuitBreaker, CostModel
@@ -386,7 +384,7 @@ class TestFailurePolicy:
 
 
 # ----------------------------------------------------------------------
-# Reads: deadlines, staleness markers, cost order
+# Reads: deadlines and staleness markers
 # ----------------------------------------------------------------------
 
 class TestReads:
@@ -395,34 +393,18 @@ class TestReads:
         try:
             sup = SessionSupervisor(session)  # monotonic clock
             sup.submit(_mixed_ops(13, n_insert=10, delete_ids=()))
-            fresh = sup.read(tag="a")
+            fresh = sup.read()
             assert not fresh.stale and fresh.lag_ops == 0
             assert sup.report.forced_materializations == 1
             pending = _mixed_ops(14, n_insert=10, delete_ids=())
             sup.submit(pending)
-            shed = sup.read(deadline_s=0.0, tag="b")
-            assert shed.stale and shed.tag == "b"
+            shed = sup.read(deadline_s=0.0)
+            assert shed.stale
             assert shed.lag_ops == len(pending)
             assert shed.ids == fresh.ids  # last materialized result
             assert sup.report.stale_serves == 1
             # A later unconstrained read catches up and is fresh again.
-            assert not sup.read(tag="c").stale
-        finally:
-            session.close()
-
-    def test_first_timeout_marks_costlier_reads_stale(self):
-        from repro.service.supervisor import ReadRequest
-        session = _session()
-        try:
-            sup = SessionSupervisor(session)
-            sup.submit(_mixed_ops(15, n_insert=6, delete_ids=()))
-            sup.read()  # materialize once
-            sup.submit(_mixed_ops(16, n_insert=6, delete_ids=()))
-            views = sup.serve_reads([
-                ReadRequest(tag="t0", deadline_s=0.0),
-                ReadRequest(tag="t1", deadline_s=1e9)])
-            assert [v.tag for v in views] == ["t0", "t1"]
-            assert all(v.stale for v in views)
+            assert not sup.read().stale
         finally:
             session.close()
 
@@ -584,26 +566,23 @@ class TestReplayIntegration:
         assert supervised.service["waves"] > 0
         assert "final_state_digest" in supervised.service
 
-    def test_simulate_service_sheds_under_overload(self):
+    def test_supervised_replay_sheds_under_overload(self):
+        from repro.scenarios.replay import replay_trace
         from repro.scenarios.spec import get_scenario
         scenario = get_scenario("overload-flashcrowd")
         trace = scenario.compile(seed=0, n=400)
         hints = dict(scenario.service)
-        read_every = hints.pop("read_every", 0)
-        tenants = hints.pop("tenants", 4)
+        hints.pop("read_every", None)
         # Tighten the scenario's budgets to zero so the flash-crowd
         # bursts overload *any* machine: a pump applies one wave and a
         # read with no budget must shed whenever the queue is non-empty.
         hints.update(pump_budget_s=0.0, read_deadline_s=0.0)
-        summary = simulate_service(
-            trace, r=6, options={"m_max": 32},
+        res = replay_trace(
+            trace, r=6, eval_samples=100, options={"m_max": 32},
             service=ServiceOptions(config=SupervisorConfig(**hints),
-                                   read_every=read_every,
-                                   tenants=tenants))
-        assert summary["ticks"] > 0
-        assert summary["stale_tenant_serves"] > 0  # shed, never blocked
-        report = summary["service"]
-        assert report["stale_serves"] >= summary["stale_tenant_serves"]
+                                   read_every=1))
+        report = res.service
+        assert report["stale_serves"] > 0  # shed, never blocked
         assert report["admission_latency_ms"]["p99"] >= 0.0
         # Shedding is presentation-only: the drained final state matches
         # an unsupervised replay of the same trace. The reference feeds
@@ -618,39 +597,6 @@ class TestReplayIntegration:
             for s, e in batch_slices(trace):
                 session.apply_batch(ops[s:e])
             assert report["final_state_digest"] == \
-                session.engine.state_digest()
-        finally:
-            session.close()
-
-    def test_simulate_service_reports_per_tenant_tallies(self):
-        from repro.scenarios.spec import get_scenario
-        trace = get_scenario("mixed-batch").compile(seed=0, n=200)
-        summary = simulate_service(
-            trace, r=6, options={"m_max": 32},
-            service=ServiceOptions(
-                config=SupervisorConfig(read_deadline_s=0.0),
-                read_every=2, tenants=3))
-        per_tenant = summary["service"]["per_tenant"]
-        # One tally per simulated read tenant, keyed by tenant id, plus
-        # the replay loop's own reads under "driver".
-        assert set(per_tenant) == {"driver", "tenant0", "tenant1",
-                                   "tenant2"}
-        for key, tally in per_tenant.items():
-            assert tally["reads"] == tally["fresh"] + tally["stale"]
-            assert tally["reads"] > 0
-        total_stale = sum(t["stale"] for k, t in per_tenant.items()
-                          if k != "driver")
-        assert total_stale == summary["stale_tenant_serves"]
-        # Service counters live outside the determinism digest: the
-        # supervised replay of the same trace stays digest-identical to
-        # a plain one regardless of per-tenant read traffic.
-        session = open_session(trace.workload.initial, 6, algo="fd-rms",
-                               seed=0, m_max=32)
-        try:
-            ops = trace.workload.operations
-            for s, e in batch_slices(trace):
-                session.apply_batch(ops[s:e])
-            assert summary["service"]["final_state_digest"] == \
                 session.engine.state_digest()
         finally:
             session.close()
