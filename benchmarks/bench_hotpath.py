@@ -7,12 +7,7 @@ stream):
 * ``seed single-op``  — the frozen seed engine (object-graph k-d tree +
   cone tree from ``_legacy_seed.py``), one operation at a time;
 * ``flat single-op``  — the current flat-array engine, one op at a time;
-* ``flat batched``    — the current engine through ``apply_batch``;
-* ``flat parallel``   — the batched engine on the shared-memory worker
-  backend (``parallel=os.cpu_count()``), cold start + updates, reported
-  as ``parallel_speedup_vs_serial`` (wall-clock of the inline engine
-  over the parallel one, same process — machine-relative like every
-  other gate; ~1.0 on a single-core host by construction).
+* ``flat batched``    — the current engine through ``apply_batch``.
 
 It also measures raw index query throughput (``top_k`` / ``range_query``
 over the live tuple set) for the seed vs. flat k-d tree.
@@ -34,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 import tempfile
@@ -66,15 +60,13 @@ def _legacy_index_factory(ids, points, d):
     return LegacyKDTree.build(ids, points)
 
 
-def _make_engine(initial, *, legacy: bool,
-                 parallel: int | None = None) -> FDRMS:
+def _make_engine(initial, *, legacy: bool) -> FDRMS:
     db = Database(initial)
     kwargs = {}
     if legacy:
         kwargs = dict(index_factory=_legacy_index_factory,
                       cone_factory=LegacyConeTree)
-    return FDRMS(db, K, R, EPS, m_max=M_MAX, seed=0, parallel=parallel,
-                 **kwargs)
+    return FDRMS(db, K, R, EPS, m_max=M_MAX, seed=0, **kwargs)
 
 
 def _drive_single(engine: FDRMS, ops) -> float:
@@ -157,44 +149,6 @@ def _bench_workload(name: str, initial, ops, *,
     return out, kept
 
 
-def _bench_parallel(out: dict, initial, ops, reference_result,
-                    workers: int) -> None:
-    """Time the shared-memory backend against the inline engine.
-
-    Drives the same workload on an engine with ``parallel=workers``
-    (cold start + batched updates) and records
-    ``parallel_speedup_vs_serial`` — inline wall-clock over parallel
-    wall-clock, both measured in this process, so the gate is
-    machine-relative like every other one. The result set must match
-    the inline engine's exactly (worker-count invariance).
-    """
-    t0 = time.perf_counter()
-    engine = _make_engine(initial, legacy=False, parallel=workers)
-    init_s = time.perf_counter() - t0
-    seconds = _drive_batched(engine, ops)
-    assert engine.result() == reference_result, \
-        "parallel result diverged from the inline engine"
-    degraded = bool(getattr(engine._backend, "degraded", False))
-    engine.close()
-    out["engines"]["flat_parallel"] = {
-        "workers": workers,
-        "degraded": degraded,
-        "init_seconds": round(init_s, 4),
-        "update_seconds": round(seconds, 4),
-        "ms_per_op": round(1e3 * seconds / len(ops), 5),
-        "ops_per_second": round(len(ops) / seconds, 1),
-    }
-    serial = out["engines"]["flat_batched"]
-    serial_total = serial["init_seconds"] + serial["update_seconds"]
-    parallel_total = init_s + seconds
-    out["parallel_speedup_vs_serial"] = round(
-        serial_total / parallel_total, 2)
-    print(f"flat_parallel   init {init_s:6.2f}s  updates {seconds:7.2f}s "
-          f"({workers} workers) -> "
-          f"{out['parallel_speedup_vs_serial']:.2f}x vs inline"
-          + (" [POOL DEGRADED]" if degraded else ""))
-
-
 def _bench_restore(engine: FDRMS, cold_init_seconds: float) -> dict:
     """Checkpoint the driven engine and time a warm restore.
 
@@ -269,11 +223,6 @@ def main(argv=None) -> int:
                     help="committed BENCH_hotpath.json to regression-check "
                          "against (machine-relative speedups, not wall "
                          "times)")
-    ap.add_argument("--workers", type=int,
-                    default=max(1, os.cpu_count() or 1),
-                    help="worker count for the parallel-backend leg "
-                         "(default: all cores; 1 = serial canonical-"
-                         "block backend)")
     ap.add_argument("--tolerance", type=float, default=0.4,
                     help="allowed relative drop in batched-vs-single "
                          "speedup vs the baseline (0.4 = fresh must reach "
@@ -303,8 +252,7 @@ def main(argv=None) -> int:
         "benchmark": "hotpath",
         "config": {"n": args.n, "d": args.d, "ops": args.ops, "r": R,
                    "k": K, "eps": EPS, "m_max": M_MAX,
-                   "quick": bool(args.quick),
-                   "parallel_workers": args.workers},
+                   "quick": bool(args.quick)},
         "python": platform.python_version(),
         "numpy": np.__version__,
         "workloads": {},
@@ -316,8 +264,6 @@ def main(argv=None) -> int:
         "mixed 50/50 churn", mixed.initial, mixed.operations,
         skip_legacy=args.skip_legacy)
     report["workloads"]["mixed_50_50"] = mixed_out
-    _bench_parallel(mixed_out, mixed.initial, mixed.operations,
-                    mixed_engine.result(), args.workers)
 
     report["restore"] = _bench_restore(
         mixed_engine,
@@ -344,15 +290,6 @@ def main(argv=None) -> int:
     if report["restore"]["restore_speedup_vs_cold"] < 1.0:
         print("FAIL: warm checkpoint restore is slower than a cold "
               "start", file=sys.stderr)
-        return 1
-    # Absolute sanity floor, only meaningful with real workers: on a
-    # 1-core host both engines are serial and the ratio is pure timing
-    # noise, so gating it there would flap. The machine-relative gate
-    # below is the real check on multicore runners.
-    if (args.workers >= 2
-            and mixed_out["parallel_speedup_vs_serial"] < 0.5):
-        print("FAIL: the parallel backend more than doubled the "
-              "inline engine's wall-clock", file=sys.stderr)
         return 1
     if baseline is not None and not _check_baseline(report, baseline,
                                                    args.tolerance):
@@ -389,23 +326,13 @@ def _check_baseline(report: dict, baseline: dict, tolerance: float) -> bool:
                   f"tolerance {tolerance:.0%})")
 
     gates = (("batched_vs_single_speedup", "batched-vs-single speedup"),
-             ("init_speedup_vs_seed", "init speedup vs seed trees"),
-             ("parallel_speedup_vs_serial", "parallel-vs-inline speedup"))
-    # The parallel ratio is only a signal when both runs actually used
-    # workers; with one core each side is a serial engine timed twice.
-    par_meaningful = min(
-        int(report.get("config", {}).get("parallel_workers", 1)),
-        int(baseline.get("config", {}).get("parallel_workers", 1))) >= 2
+             ("init_speedup_vs_seed", "init speedup vs seed trees"))
     for name, fresh in report["workloads"].items():
         base = baseline.get("workloads", {}).get(name)
         if base is None:
             continue
         for key, label in gates:
             if key not in base or key not in fresh:
-                continue
-            if key == "parallel_speedup_vs_serial" and not par_meaningful:
-                print(f"regression gate: {name}: {label} skipped "
-                      "(single-worker measurement on one side)")
                 continue
             gate(name, label, float(base[key]), float(fresh[key]))
     base_restore = baseline.get("restore", {})

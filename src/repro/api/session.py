@@ -265,8 +265,7 @@ class FDRMSSession(Session):
     def __init__(self, points: ArrayLike, r: int, k: int = 1, *,
                  eps: float | str = 0.02, m_max: int = 1024,
                  seed: SeedLike = None,
-                 snapshot: Any = None, wal: Any = None,
-                 parallel: int | str | None = None) -> None:
+                 snapshot: Any = None, wal: Any = None) -> None:
         super().__init__()
         self.name = "FD-RMS"
         points = np.asarray(points, dtype=float)
@@ -281,8 +280,7 @@ class FDRMSSession(Session):
         start = time.perf_counter()
         if snapshot is not None:
             engine = self._try_restore(snapshot, wal, k=k, r=r,
-                                       eps=eps, m_max=m_max,
-                                       parallel=parallel)
+                                       eps=eps, m_max=m_max)
         if engine is not None:
             self.engine = engine
             self._db = engine.database
@@ -294,7 +292,7 @@ class FDRMSSession(Session):
         else:
             self._db = Database(points)
             self.engine = FDRMS(self._db, k, r, float(eps), m_max=m_max,
-                                seed=seed, parallel=parallel)
+                                seed=seed)
             self.init_seconds = time.perf_counter() - start
             #: Cold-start phase breakdown (seconds) from the engine:
             #: tree builds, bootstrap GEMM, membership fill, set-cover
@@ -309,15 +307,13 @@ class FDRMSSession(Session):
         self.last_apply_seconds = 0.0
 
     def _try_restore(self, snapshot: Any, wal: Any, *, k: int, r: int,
-                     eps: float, m_max: int,
-                     parallel: int | str | None = None) -> FDRMS | None:
+                     eps: float, m_max: int) -> FDRMS | None:
         """Verified restore; ``None`` (+ recovery record) on any fault."""
         from repro.persist.checkpoint import CheckpointError
         from repro.persist.recovery import restore_engine
         from repro.persist.wal import WALError
         try:
-            engine, info = restore_engine(snapshot, wal=wal,
-                                          parallel=parallel)
+            engine, info = restore_engine(snapshot, wal=wal)
             if (engine.k, engine.r, engine.m_max) != (k, r, m_max) or \
                     engine.eps != float(eps):
                 raise CheckpointError(
@@ -353,11 +349,10 @@ class FDRMSSession(Session):
             self._wal.append(ops)
 
     def close(self) -> None:
-        """Flush and close the WAL and release engine backend resources."""
+        """Flush and close the WAL."""
         if self._wal is not None:
             self._wal.close()
             self._wal = None
-        self.engine.close()
 
     @property
     def db(self) -> Database:
@@ -638,11 +633,9 @@ def open_session(points: ArrayLike, r: int, k: int = 1, *,
 def _fdrms_session_factory(points: ArrayLike, r: int, k: int = 1, *,
                            seed: SeedLike = None, eps: float | str = 0.02,
                            m_max: int = 1024, snapshot: Any = None,
-                           wal: Any = None,
-                           parallel: int | str | None = None
-                           ) -> FDRMSSession:
+                           wal: Any = None) -> FDRMSSession:
     return FDRMSSession(points, r, k, eps=eps, m_max=m_max, seed=seed,
-                        snapshot=snapshot, wal=wal, parallel=parallel)
+                        snapshot=snapshot, wal=wal)
 
 
 @register("fd-rms", display_name="FD-RMS",
@@ -656,8 +649,7 @@ def _fdrms_session_factory(points: ArrayLike, r: int, k: int = 1, *,
 def fdrms_solve(points: ArrayLike, r: int, k: int = 1, *,
                 seed: SeedLike = None, eps: float = 0.02,
                 m_max: int = 1024, snapshot: Any = None,
-                wal: Any = None,
-                parallel: int | str | None = None) -> IndexArray:
+                wal: Any = None) -> IndexArray:
     """One-shot FD-RMS: build the dynamic structure, read the result.
 
     Tuple ids of a fresh :class:`~repro.data.Database` are the row
@@ -665,7 +657,7 @@ def fdrms_solve(points: ArrayLike, r: int, k: int = 1, *,
     matrix like every static baseline.
     """
     session = FDRMSSession(points, r, k, eps=eps, m_max=m_max, seed=seed,
-                           snapshot=snapshot, wal=wal, parallel=parallel)
+                           snapshot=snapshot, wal=wal)
     try:
         return np.asarray(session.result(), dtype=np.intp)
     finally:

@@ -6,92 +6,37 @@ and returns row indices of the selected tuples. None of them supports
 updates: the experiment harness re-runs them whenever the skyline
 changes, exactly as the paper's protocol does.
 
-========================  ==========================================
-:func:`greedy`            GREEDY, 1-RMS greedy heuristic [22]
-:func:`greedy_star`       GREEDY*, randomized greedy for k > 1 [11]
-:func:`geo_greedy`        GEOGREEDY, hull-restricted greedy [23]
-:func:`dmm_rrms`          DMM-RRMS, discretized matrix min-max [4]
-:func:`dmm_greedy`        DMM-GREEDY, greedy on the DMM matrix [4]
-:func:`eps_kernel`        ε-KERNEL coreset selection [2, 3, 10]
-:func:`hitting_set`       HS, hitting-set based min-size k-RMS [3]
-:func:`sphere`            SPHERE, ε-kernel + greedy hybrid [32]
-:func:`cube`              CUBE, the original bounded heuristic [22]
-:func:`dp2d`              interval DP for d = 2 (optimality oracle)
-:func:`brute_force_rms`   exhaustive search (tests only)
-========================  ==========================================
+One submodule per algorithm:
 
-.. deprecated:: 1.1
-    Calling an algorithm imported from this *package* namespace emits a
-    :class:`DeprecationWarning`. The canonical entry points are
-    :func:`repro.solve` / :func:`repro.api.get_algorithm` (registry
-    dispatch with capability metadata), or — for the raw function — an
-    explicit submodule import such as
-    ``from repro.baselines.greedy import greedy``.
+================================  ==========================================
+:func:`.greedy.greedy`            GREEDY, 1-RMS greedy heuristic [22]
+:func:`.greedy_star.greedy_star`  GREEDY*, randomized greedy for k > 1 [11]
+:func:`.geogreedy.geo_greedy`     GEOGREEDY, hull-restricted greedy [23]
+:func:`.dmm.dmm_rrms`             DMM-RRMS, discretized matrix min-max [4]
+:func:`.dmm.dmm_greedy`           DMM-GREEDY, greedy on the DMM matrix [4]
+:func:`.eps_kernel.eps_kernel`    ε-KERNEL coreset selection [2, 3, 10]
+:func:`.hitting_set.hitting_set`  HS, hitting-set based min-size k-RMS [3]
+:func:`.sphere.sphere`            SPHERE, ε-kernel + greedy hybrid [32]
+:func:`.cube.cube`                CUBE, the original bounded heuristic [22]
+:func:`.dp2d.dp2d`                interval DP for d = 2 (optimality oracle)
+:func:`.arm.arm_greedy`           ARM, average-regret greedy
+:func:`.rrr.rrr_greedy`           RRR, rank-regret greedy
+:func:`brute_force_rms`           exhaustive search (tests only)
+================================  ==========================================
+
+The canonical entry points are :func:`repro.solve` /
+:func:`repro.api.get_algorithm` (registry dispatch with capability
+metadata); for the raw function, import it from its submodule, e.g.
+``from repro.baselines.greedy import greedy``. This package re-exports
+only the helpers that are not registered algorithms.
 """
 
-import functools
-import warnings
-
-from repro.baselines.arm import arm_greedy as _arm_greedy
 from repro.baselines.arm import average_regret
-from repro.baselines.cube import cube as _cube
-from repro.baselines.dmm import dmm_greedy as _dmm_greedy
-from repro.baselines.dmm import dmm_rrms as _dmm_rrms
 from repro.baselines.dp2d import brute_force_rms
-from repro.baselines.dp2d import dp2d as _dp2d
-from repro.baselines.eps_kernel import eps_kernel as _eps_kernel
-from repro.baselines.geogreedy import geo_greedy as _geo_greedy
-from repro.baselines.greedy import greedy as _greedy
-from repro.baselines.greedy_star import greedy_star as _greedy_star
-from repro.baselines.hitting_set import hitting_set as _hitting_set
 from repro.baselines.rrr import rank_regret
-from repro.baselines.rrr import rrr_greedy as _rrr_greedy
-from repro.baselines.sphere import sphere as _sphere
-
-
-def _deprecated_entry(func, registry_name: str):
-    """Wrap ``func`` so package-level calls point users at the new API."""
-    module = func.__module__
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        warnings.warn(
-            f"calling {func.__name__!r} via the repro.baselines package is "
-            f"deprecated; use repro.solve(..., algo={registry_name!r}) or "
-            f"import it from {module}",
-            DeprecationWarning, stacklevel=2)
-        return func(*args, **kwargs)
-
-    return wrapper
-
-
-greedy = _deprecated_entry(_greedy, "greedy")
-greedy_star = _deprecated_entry(_greedy_star, "greedy*")
-geo_greedy = _deprecated_entry(_geo_greedy, "geogreedy")
-dmm_rrms = _deprecated_entry(_dmm_rrms, "dmm-rrms")
-dmm_greedy = _deprecated_entry(_dmm_greedy, "dmm-greedy")
-eps_kernel = _deprecated_entry(_eps_kernel, "eps-kernel")
-hitting_set = _deprecated_entry(_hitting_set, "hs")
-sphere = _deprecated_entry(_sphere, "sphere")
-cube = _deprecated_entry(_cube, "cube")
-dp2d = _deprecated_entry(_dp2d, "dp2d")
-arm_greedy = _deprecated_entry(_arm_greedy, "arm")
-rrr_greedy = _deprecated_entry(_rrr_greedy, "rrr")
 
 __all__ = [
-    "arm_greedy",
     "average_regret",
-    "rank_regret",
-    "rrr_greedy",
-    "greedy",
-    "greedy_star",
-    "geo_greedy",
-    "dmm_rrms",
-    "dmm_greedy",
-    "eps_kernel",
-    "hitting_set",
-    "sphere",
-    "cube",
-    "dp2d",
     "brute_force_rms",
+    "rank_regret",
 ]

@@ -6,7 +6,6 @@ from repro.bench.adapters import (
     StaticAdapter,
     BASELINE_FACTORIES,
     adapter_for,
-    make_adapter,
 )
 from repro.bench.harness import RunResult, SnapshotRecord, run_workload
 from repro.bench.experiments import (
@@ -23,7 +22,6 @@ __all__ = [
     "StaticAdapter",
     "BASELINE_FACTORIES",
     "adapter_for",
-    "make_adapter",
     "RunResult",
     "SnapshotRecord",
     "run_workload",

@@ -28,7 +28,6 @@ algorithm is benchmarkable with no edits here.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
 from typing import Any
 
@@ -227,20 +226,3 @@ class _FactoryTable(Mapping):
 
 
 BASELINE_FACTORIES = _FactoryTable()
-
-
-def make_adapter(name: str, initial_points, k: int, r: int, *, seed=None,
-                 estimate: bool = True, **extra) -> DynamicAdapter:
-    """Instantiate an adapter by display name.
-
-    .. deprecated:: 1.1
-        Use :func:`adapter_for` (benchmark timing protocol) or
-        :func:`repro.api.open_session` (plain streaming) instead; both
-        resolve names through :mod:`repro.api.registry`.
-    """
-    warnings.warn(
-        "make_adapter is deprecated; use repro.bench.adapter_for or "
-        "repro.api.open_session instead",
-        DeprecationWarning, stacklevel=2)
-    return adapter_for(name, initial_points, k, r, seed=seed,
-                       estimate=estimate, **extra)

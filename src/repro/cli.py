@@ -242,10 +242,6 @@ def cmd_replay(args) -> int:
     names = scenario_names() if replay_all else [args.scenario]
     specs = _resolve_specs(args.algorithms)
     options = {"eps": args.eps, "m_max": args.m_max}
-    if args.workers is not None:
-        # Execution backend only — replay digests are worker-count
-        # invariant, which the CI scenario matrix checks explicitly.
-        options["parallel"] = args.workers
     expected = None
     if args.expect_hashes:
         expected = json.loads(Path(args.expect_hashes).read_text())
@@ -582,12 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(a directory when replaying 'all')")
     p_rp.add_argument("--json", default=None, dest="json_out",
                       help="write replay metrics as JSON to this path")
-    p_rp.add_argument("--workers", type=int, default=None,
-                      help="FD-RMS execution backend: 0/1 = serial "
-                           "canonical-block backend, N >= 2 = N "
-                           "shared-memory workers (digests are "
-                           "worker-count invariant); default: inline "
-                           "engine")
     p_rp.add_argument("--check-determinism", action="store_true",
                       help="compile and replay twice; fail on any drift "
                            "(with --supervised the second replay is "
@@ -601,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "deadlines; scenario service hints apply)")
     p_rp.add_argument("--chaos", default=None,
                       help="runtime fault injection spec, e.g. 'all' or "
-                           "'latency:rate=0.5,pool-kill:at=8,transient'"
+                           "'latency:rate=0.5,transient:burst=2'"
                            " (implies --supervised)")
     p_rp.add_argument("--chaos-seed", type=int, default=0,
                       dest="chaos_seed")

@@ -38,7 +38,6 @@ from repro.core.topk import (
 )
 from repro.data.database import INSERT, Database, iter_op_runs
 from repro.geometry.sampling import sample_utilities_with_basis
-from repro.parallel.backend import resolve_backend
 from repro.utils import check_epsilon, check_k, check_size_constraint
 
 
@@ -83,8 +82,7 @@ class FDRMS:
     def __init__(self, db: Database, k: int, r: int, eps: float, *,
                  m_max: int = 1024, seed: SeedLike = None,
                  index_factory: Callable[..., Any] | None = None,
-                 cone_factory: Callable[..., Any] | None = None,
-                 parallel: int | str | None = None) -> None:
+                 cone_factory: Callable[..., Any] | None = None) -> None:
         self._db = db
         self._k = check_k(k)
         self._r = check_size_constraint(r, db.d)
@@ -92,14 +90,12 @@ class FDRMS:
         if m_max <= r:
             raise ValueError(f"m_max must exceed r, got m_max={m_max}, r={r}")
         self._m_max = int(m_max)
-        self._backend = resolve_backend(parallel)
         t0 = time.perf_counter()
         utilities = sample_utilities_with_basis(self._m_max, db.d, seed=seed)
         t1 = time.perf_counter()
         self._topk = ApproxTopKIndex(db, utilities, self._k, self._eps,
                                      index_factory=index_factory,
-                                     cone_factory=cone_factory,
-                                     backend=self._backend)
+                                     cone_factory=cone_factory)
         t2 = time.perf_counter()
         self._cover = StableSetCover()
         self._m = self._r
@@ -144,36 +140,6 @@ class FDRMS:
     @property
     def database(self) -> Database:
         return self._db
-
-    @property
-    def backend(self):
-        """The execution backend (None for the inline engine).
-
-        Exposed for the service layer: the supervisor's circuit
-        breaker watches ``backend.degraded`` and drives
-        ``backend.restore()`` re-pool probes.
-        """
-        return self._backend
-
-    @property
-    def parallel_workers(self) -> int:
-        """Worker count of the execution backend (0 = inline engine).
-
-        Deliberately an attribute rather than a :meth:`statistics`
-        counter: stats feed replay determinism digests, which must be
-        invariant across worker counts.
-        """
-        backend = self._backend
-        return 0 if backend is None else backend.workers
-
-    def close(self) -> None:
-        """Release backend resources (worker pool, shared segments).
-
-        Idempotent; a no-op for the inline engine. The engine stays
-        usable — a later parallel wave lazily recreates its resources.
-        """
-        if self._backend is not None:
-            self._backend.close()
 
     def statistics(self) -> dict[str, int]:
         """Maintenance counters (operations, deltas, m changes, ...).
@@ -226,15 +192,9 @@ class FDRMS:
         return config, arrays
 
     @classmethod
-    def from_state(cls, config: dict[str, Any], arrays: dict[str, Any],
-                   parallel: int | str | None = None) -> "FDRMS":
-        """Rebuild an engine from :meth:`export_state` output.
-
-        ``parallel`` selects the execution backend of the restored
-        engine; it is a physical execution option, not state, so it is
-        never recorded in checkpoints and may differ from the exporting
-        engine's setting.
-        """
+    def from_state(cls, config: dict[str, Any], arrays: dict[str, Any]
+                   ) -> "FDRMS":
+        """Rebuild an engine from :meth:`export_state` output."""
         self = object.__new__(cls)
         db = Database.from_state(_sub(arrays, "db_"))
         if db.d != int(config["d"]):
@@ -246,10 +206,8 @@ class FDRMS:
         self._m_max = int(config["m_max"])
         if self._m_max <= self._r:
             raise ValueError("m_max must exceed r")
-        self._backend = resolve_backend(parallel)
         self._topk = ApproxTopKIndex.from_state(
-            _sub(arrays, "topk_"), db, self._k, self._eps,
-            backend=self._backend)
+            _sub(arrays, "topk_"), db, self._k, self._eps)
         self._cover = StableSetCover.from_state(_sub(arrays, "cover_"))
         m = int(config["m"])
         if not self._r <= m <= self._m_max:

@@ -129,7 +129,10 @@ def max_k_regret_ratio_sampled(points_p: ArrayLike, points_q: ArrayLike,
         block = utilities[start:start + batch]
         sp = p @ block.T                     # (n, b)
         kth = np.partition(sp, n - kk, axis=0)[n - kk]
-        best = (q @ block.T).max(axis=0)     # (b,)
+        # einsum, not GEMM: BLAS picks its kernel by the row count of
+        # q, so a row's dot products could differ in the last ulp
+        # between two Q sets, and adding tuples could raise the ratio.
+        best = np.einsum("qd,bd->qb", q, block).max(axis=0)  # (b,)
         with np.errstate(divide="ignore", invalid="ignore"):
             rr = 1.0 - np.divide(best, kth, out=np.ones_like(best),
                                  where=kth > 0)

@@ -52,8 +52,6 @@ from repro._types import AnyArray, FloatArray, IndexArray
 from repro.data.database import INSERT, Database, iter_op_runs
 from repro.index.conetree import ConeTree
 from repro.index.kdtree import KDTree
-from repro.parallel import blocks as _pblocks
-from repro.parallel.backend import ExecutionBackend
 from repro.utils import check_epsilon, check_k
 
 ADD = "+"
@@ -90,6 +88,12 @@ _STAGE_LIMIT = 512
 #: across all q affected utilities replaces q tree descents. Above the
 #: limit the tree's pruning wins and the per-utility query path is used.
 _BRUTE_REPAIR_LIMIT = 16384
+
+#: Elements per bootstrap GEMM chunk (``ELEMS // n`` utilities each).
+#: Chunk boundaries depend only on ``n``, and BLAS is bitwise
+#: reproducible only for identical calls, so this constant is part of
+#: the determinism contract: changing it moves bootstrap digests.
+BOOTSTRAP_CHUNK_ELEMS = 4_000_000
 
 _MISSING = object()
 
@@ -629,10 +633,9 @@ class ApproxTopKIndex:
     def __init__(self, db: Database, utilities: ArrayLike, k: int, eps: float, *,
                  index_factory: Callable[[IndexArray, FloatArray, int], Any]
                  | None = None,
-                 cone_factory: Callable[[FloatArray], Any] | None = None,
-                 backend: ExecutionBackend | None = None) -> None:
+                 cone_factory: Callable[[FloatArray], Any] | None = None
+                 ) -> None:
         self._db = db
-        self._backend = backend
         self._u = np.ascontiguousarray(utilities, dtype=np.float64)
         if self._u.ndim != 2 or self._u.shape[1] != db.d:
             raise ValueError("utilities must be (M, d) with d matching the database")
@@ -916,13 +919,11 @@ class ApproxTopKIndex:
         return state
 
     @classmethod
-    def from_state(cls, state, db: Database, k: int, eps: float,
-                   backend: ExecutionBackend | None = None
+    def from_state(cls, state, db: Database, k: int, eps: float
                    ) -> "ApproxTopKIndex":
         """Rebuild an index from :meth:`export_state` arrays."""
         self = object.__new__(cls)
         self._db = db
-        self._backend = backend
         self._u = np.ascontiguousarray(state["u"], dtype=np.float64).copy()
         if self._u.ndim != 2 or self._u.shape[1] != db.d:
             raise ValueError("utilities must be (M, d) with d matching "
@@ -973,39 +974,8 @@ class ApproxTopKIndex:
         inv_pids: list[IndexArray] = []
         inv_owners: list[IndexArray] = []
         all_taus = np.zeros(m_total)
-        if n > 0 and self._backend is not None:
-            # Backend path: the same canonical chunks (the rule below is
-            # shared via repro.parallel.blocks), each computed by the
-            # bootstrap_chunk kernel — the exact per-chunk NumPy calls
-            # of the inline loop — then installed strictly in chunk
-            # order. Byte-identical to the inline path at any worker
-            # count.
-            backend = self._backend
-            chunks = _pblocks.bootstrap_chunks(n, m_total)
-            t0 = time.perf_counter()
-            pts_ref = backend.ship(pts)
-            ids_ref = backend.ship(ids)
-            u_ref = backend.share("u", 0, self._u)
-            results = backend.map_blocks("bootstrap_chunk", [
-                {"pts": pts_ref, "ids": ids_ref, "u": u_ref,
-                 "start": start, "end": end, "k": k, "eps": self._eps}
-                for start, end in chunks])
-            t1 = time.perf_counter()
-            t_gemm = t1 - t0
-            for (start, end), chunk_out in zip(chunks, results):
-                (taus, topk_rows, bounds, cols,
-                 member_pids, member_scores, mins) = chunk_out
-                for col in range(end - start):
-                    s, e = bounds[col], bounds[col + 1]
-                    store.set_row_bootstrap(
-                        start + col, member_pids[s:e], member_scores[s:e],
-                        topk_rows[col], float(mins[col]) if e > s else np.inf)
-                inv_pids.append(member_pids)
-                inv_owners.append(cols + start)
-                all_taus[start:end] = taus
-            t_fill = time.perf_counter() - t1
-        elif n > 0:
-            chunk = max(1, int(_pblocks.BOOTSTRAP_CHUNK_ELEMS // max(1, n)))
+        if n > 0:
+            chunk = max(1, int(BOOTSTRAP_CHUNK_ELEMS // max(1, n)))
             for start in range(0, m_total, chunk):
                 block = self._u[start:start + chunk]
                 b = block.shape[0]
@@ -1136,23 +1106,6 @@ class ApproxTopKIndex:
                 ids, pts = run.alive_snapshot()
             else:
                 ids, pts = self._db.snapshot()
-            backend = self._backend
-            q = idxs.shape[0]
-            if backend is not None and \
-                    n_db * q >= _pblocks.REPAIR_PAR_MIN_ELEMS:
-                # Shard the wave over canonical column blocks of the
-                # gathered utilities; block results extend in order.
-                ids_ref = backend.ship(ids)
-                pts_ref = backend.ship(pts)
-                u_ref = backend.ship(self._u[idxs])
-                wave: list[tuple[float, IndexArray, FloatArray] | None] = []
-                for block in backend.map_blocks("repair_columns", [
-                        {"ids": ids_ref, "pts": pts_ref, "u_sel": u_ref,
-                         "start": s, "end": e, "n_db": n_db,
-                         "k": self._k, "eps": self._eps}
-                        for s, e in _pblocks.repair_col_blocks(q)]):
-                    wave.extend(block)
-                return wave
             scores = pts @ self._u[idxs].T  # (n, q): the repair wave
             out = []
             # reprolint: disable=RPL004 -- one pass per repaired utility (q small);
@@ -1269,21 +1222,7 @@ class _InsertRun:
                 staged[pid] = vec
             if len(staged) >= _STAGE_LIMIT:
                 index._flush_staged()
-        backend = index._backend
-        if backend is not None and \
-                pts.shape[0] * index._m_total >= _pblocks.SCORE_PAR_MIN_ELEMS:
-            # Shard the (batch × M) GEMM over canonical row blocks and
-            # stack in block order; the dispatch threshold and block
-            # size are pure functions of problem size, so any worker
-            # count (or the serial backend) produces the same bits.
-            pts_ref = backend.ship(pts)
-            u_ref = backend.share("u", 0, index._u)
-            row_scores = backend.map_blocks("score_rows", [
-                {"pts": pts_ref, "u": u_ref, "start": s, "end": e}
-                for s, e in _pblocks.score_row_blocks(pts.shape[0])])
-            self._scores = np.concatenate(row_scores, axis=0)
-        else:
-            self._scores = pts @ index._u.T
+        self._scores = pts @ index._u.T
         self._pos = 0
 
     @property

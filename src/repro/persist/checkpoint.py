@@ -147,8 +147,7 @@ def _read_arrays(directory: Path,
     return arrays
 
 
-def load_checkpoint(directory: str | Path,
-                    parallel: int | str | None = None
+def load_checkpoint(directory: str | Path
                     ) -> tuple["FDRMS", dict[str, Any]]:
     """Load and fully verify a checkpoint; returns ``(engine, manifest)``.
 
@@ -156,8 +155,6 @@ def load_checkpoint(directory: str | Path,
     digests, structural validation during state import, and finally the
     restored engine's logical ``state_digest()`` against the digest
     recorded at save time. Any failure raises :class:`CheckpointError`.
-    ``parallel`` selects the restored engine's execution backend; it is
-    a physical option, never part of the checkpoint.
     """
     from repro.core.fdrms import FDRMS
 
@@ -165,8 +162,7 @@ def load_checkpoint(directory: str | Path,
     manifest = _read_manifest(directory)
     arrays = _read_arrays(directory, manifest)
     try:
-        engine = FDRMS.from_state(manifest["config"], arrays,
-                                  parallel=parallel)
+        engine = FDRMS.from_state(manifest["config"], arrays)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"{directory}: checkpoint state rejected: {exc}") from exc

@@ -36,8 +36,7 @@ __all__ = ["restore_engine"]
 
 
 def restore_engine(snapshot: str | Path, *,
-                   wal: str | Path | None = None,
-                   parallel: int | str | None = None
+                   wal: str | Path | None = None
                    ) -> tuple["FDRMS", dict[str, Any]]:
     """Restore an engine from a checkpoint, rolling the WAL forward.
 
@@ -48,7 +47,7 @@ def restore_engine(snapshot: str | Path, *,
     :class:`CheckpointError` or :class:`WALError` on any detected
     fault — callers decide whether that means cold start.
     """
-    engine, manifest = load_checkpoint(snapshot, parallel=parallel)
+    engine, manifest = load_checkpoint(snapshot)
     info: dict[str, Any] = {
         "mode": "restored",
         "checkpoint_digest": manifest["state_digest"],

@@ -268,8 +268,8 @@ def churn_batches_arrival(points, *, rng, n_snapshots,
     """Delete-leaning churn in steady mid-size batches.
 
     Designed as the chaos-injection workload: every wave mixes inserts
-    and deletes (so transient faults, pool kills, and retries hit both
-    engine pipelines), and batch sizes stay in the range where the
+    and deletes (so transient faults and retries hit both engine
+    pipelines), and batch sizes stay in the range where the
     supervisor's cost model actually splits and coalesces waves.
     """
     workload, _ = skewed_arrival(points, rng=rng, n_snapshots=n_snapshots,

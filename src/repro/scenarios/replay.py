@@ -277,8 +277,8 @@ def replay_trace(trace: Trace, algorithm: str = "fd-rms", *, r: int,
             counters=dict(session.stats()), op_latencies_ms=latencies,
             service=service_report)
     finally:
-        # Sessions may own external resources (WAL handles, a parallel
-        # worker pool + shared segments); replay must not leak them.
+        # Sessions may own external resources (WAL handles); replay
+        # must not leak them.
         closer = getattr(session, "close", None)
         if callable(closer):
             closer()

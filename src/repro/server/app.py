@@ -22,9 +22,8 @@ runtime (docs/SERVICE.md is the operator-facing reference):
   every failure is a typed :class:`~repro.server.protocol.ServiceError`
   envelope.
 
-The server is single-process, single-loop: true CPU parallelism lives
-below, in the engine's shared-memory backend (PR 8), not in the network
-layer.
+The server is single-process, single-loop: every tenant's engine runs
+inline on the event-loop thread.
 """
 
 from __future__ import annotations

@@ -241,8 +241,7 @@ class TenantRegistry:
         algo = get_field(payload, "algo", str, "fd-rms")
         seed = get_field(payload, "seed", int, 0)
         options: dict[str, Any] = {}
-        for key, kind in (("eps", (int, float)), ("m_max", int),
-                          ("parallel", int)):
+        for key, kind in (("eps", (int, float)), ("m_max", int)):
             if key in payload:
                 options[key] = get_field(payload, key, kind)
         checkpoint_dir = self._checkpoint_dir(tenant_id)

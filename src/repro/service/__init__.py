@@ -1,8 +1,8 @@
 """Supervised session runtime: the service layer over the Session API.
 
-The engine (PR 1-5), the persistence layer (PR 7), and the parallel
-backend (PR 8) are crash-safe and deterministic *per call*. This
-package adds the robustness a long-lived service needs *between* calls:
+The engine and the persistence layer are crash-safe and deterministic
+*per call*. This package adds the robustness a long-lived service needs
+*between* calls:
 
 * :class:`~repro.service.supervisor.SessionSupervisor` — bounded
   admission queue that coalesces incoming operations into
@@ -10,17 +10,17 @@ package adds the robustness a long-lived service needs *between* calls:
   correctness-free), cost-aware time-boxed wave execution with leftover
   resume, deterministic retry/backoff for transient faults, a circuit
   breaker that degrades to the bit-exact inline path and periodically
-  probes for re-pooling, stale-result load shedding for reads, and a
-  checkpoint watchdog that keeps recovery time bounded.
+  probes the transport again, stale-result load shedding for reads, and
+  a checkpoint watchdog that keeps recovery time bounded.
 * :mod:`~repro.service.policy` — the typed failure policy:
   :class:`RetryPolicy` (capped exponential backoff, deterministic — no
   wall-clock-seeded jitter), :class:`CircuitBreaker`, and the
   :class:`CostModel` that sizes waves and decides when a read is shed.
 * :mod:`~repro.service.chaos` — seeded, deterministic runtime fault
-  injectors (latency spikes, worker-pool kills, malformed batch ops,
-  checkpoint-write failures, transient transport faults) that plug into
-  the replay driver; under every injector the supervised run's final
-  state digest is byte-identical to a fault-free run.
+  injectors (latency spikes, malformed batch ops, checkpoint-write
+  failures, transient transport faults) that plug into the replay
+  driver; under every injector the supervised run's final state
+  digest is byte-identical to a fault-free run.
 * :mod:`~repro.service.driver` — the supervised replay loop behind
   ``repro replay --supervised [--chaos ...]``.
 

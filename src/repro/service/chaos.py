@@ -17,11 +17,6 @@ The injector catalog:
     never mutated the engine, so the retry schedule is safe by
     construction). Bursts longer than the retry schedule exhaust it
     and exercise the inline fallback + circuit breaker.
-``pool-kill``
-    SIGKILLs the shared-memory backend's worker processes at chosen
-    wave indices. The next parallel wave hits ``BrokenProcessPool``
-    and rides the backend's existing bit-exact inline degrade; the
-    supervisor's breaker then drives re-pool probes.
 ``malformed``
     Emits poison requests (unknown kind, NaN coordinates, duplicate
     ids, ...) for the driver to submit alongside real traffic; the
@@ -31,17 +26,14 @@ The injector catalog:
     a non-critical path that must retry, then skip, never corrupt.
 
 Every injector is digest-safe **by construction**: faults are raised
-before any mutation, latency only advances the clock, pool kills reuse
-the backend's proven inline recompute, and poison requests are rejected
-at the validation boundary. All randomness flows through one
-``np.random.default_rng([seed, salt])`` stream (reprolint RPL003), so
-a chaos run replays exactly under a virtual clock.
+before any mutation, latency only advances the clock, and poison
+requests are rejected at the validation boundary. All randomness flows
+through one ``np.random.default_rng([seed, salt])`` stream (reprolint
+RPL003), so a chaos run replays exactly under a virtual clock.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
@@ -69,7 +61,6 @@ class ChaosConfig:
     #: Consecutive transient faults per trigger; longer than the retry
     #: schedule (default 4 attempts) exhausts it.
     transient_burst: int = 2
-    pool_kill_waves: tuple[int, ...] = ()
     malformed_rate: float = 0.0
     checkpoint_fail_rate: float = 0.0
 
@@ -81,8 +72,6 @@ class ChaosConfig:
             names.append("latency")
         if self.transient_rate > 0:
             names.append("transient")
-        if self.pool_kill_waves:
-            names.append("pool-kill")
         if self.malformed_rate > 0:
             names.append("malformed")
         if self.checkpoint_fail_rate > 0:
@@ -94,7 +83,6 @@ class ChaosConfig:
 _PRESETS: dict[str, dict[str, Any]] = {
     "latency": {"latency_rate": 0.25, "latency_s": 0.005},
     "transient": {"transient_rate": 0.15, "transient_burst": 2},
-    "pool-kill": {"pool_kill_waves": (8,)},
     "malformed": {"malformed_rate": 0.1},
     "checkpoint": {"checkpoint_fail_rate": 0.5},
 }
@@ -105,8 +93,6 @@ _PARAMS: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
                 "dur": ("latency_s", float)},
     "transient": {"rate": ("transient_rate", float),
                   "burst": ("transient_burst", int)},
-    "pool-kill": {"at": ("pool_kill_waves",
-                         lambda v: tuple(int(x) for x in v.split("+")))},
     "malformed": {"rate": ("malformed_rate", float)},
     "checkpoint": {"rate": ("checkpoint_fail_rate", float)},
 }
@@ -116,11 +102,10 @@ def parse_chaos(spec: str, seed: int = 0) -> ChaosConfig:
     """Parse a ``--chaos`` spec string into a :class:`ChaosConfig`.
 
     The spec is a comma-separated list of injector names, each with
-    optional colon-separated ``key=value`` parameters (wave lists use
-    ``+`` since commas separate injectors)::
+    optional colon-separated ``key=value`` parameters::
 
         latency
-        latency:rate=0.5:dur=0.01,pool-kill:at=4+12,transient
+        latency:rate=0.5:dur=0.01,transient:burst=3
         all
 
     ``all`` enables every injector at its preset intensity.
@@ -176,10 +161,8 @@ class ChaosInjector:
         self._rng = np.random.default_rng([config.seed, _SALT])
         self._wave_index = 0
         self._pending_transient = 0
-        self._kill_waves = set(config.pool_kill_waves)
-        self._backend: Any = None
         self.counters: dict[str, int] = {
-            "latency_spikes": 0, "transient_faults": 0, "pool_kills": 0,
+            "latency_spikes": 0, "transient_faults": 0,
             "malformed_injected": 0, "checkpoint_faults": 0,
         }
 
@@ -190,18 +173,12 @@ class ChaosInjector:
     def transport(self, session: Any) -> Callable[[Sequence[Any]], Any]:
         """Wrap ``session.apply_batch`` with the enabled wave faults.
 
-        Fault ordering per call: pool kill (infrastructure), then
-        latency, then transient fault — all strictly *before*
-        delegating, so a raising call never mutated the engine and the
-        supervisor's retry is safe.
+        Fault ordering per call: latency, then transient fault — both
+        strictly *before* delegating, so a raising call never mutated
+        the engine and the supervisor's retry is safe.
         """
-        engine = getattr(session, "engine", None)
-        self._backend = getattr(engine, "backend", None)
-
         def apply(ops: Sequence[Any]) -> Any:
             self._wave_index += 1
-            if self._wave_index in self._kill_waves:
-                self._kill_pool()
             if self._draw(self.config.latency_rate):
                 self.counters["latency_spikes"] += 1
                 self._clock.sleep(self.config.latency_s)
@@ -218,38 +195,6 @@ class ChaosInjector:
             return session.apply_batch(ops)
 
         return apply
-
-    def _kill_pool(self) -> None:
-        """SIGKILL the backend's live workers (real BrokenProcessPool).
-
-        The next parallel wave finds the pool broken and the backend
-        recomputes it inline — the degrade path PR 8 proved bit-exact.
-        A missing/serial/already-degraded backend makes this a no-op.
-        """
-        backend = self._backend
-        if backend is None or getattr(backend, "degraded", False):
-            return
-        ensure = getattr(backend, "_ensure_executor", None)
-        if not callable(ensure):
-            return
-        executor = ensure()
-        # ProcessPoolExecutor lazily forks workers on first submit;
-        # touch the pool so there is something to kill.
-        try:
-            executor.submit(os.getpid).result()
-        except Exception:
-            # Already broken (an earlier kill the engine never paid
-            # for): nothing live to kill, and the injector must not
-            # leak its own probe failure into the transport.
-            return
-        processes = dict(getattr(executor, "_processes", {}) or {})
-        for pid in processes:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except OSError:
-                pass
-        if processes:
-            self.counters["pool_kills"] += 1
 
     # -- checkpoint ----------------------------------------------------
     def on_checkpoint(self) -> None:

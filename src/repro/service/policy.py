@@ -11,8 +11,7 @@ Three small, independently testable pieces the supervisor composes:
 * :class:`CircuitBreaker` — closed / open / half-open over a failure
   counter and a clock. While open, callers take the bit-exact inline
   path; after ``reset_after_s`` the breaker half-opens and allows one
-  probe (the supervisor uses it to attempt worker-pool
-  re-establishment).
+  probe wave through the transport again.
 * :class:`CostModel` — per-kind EWMA of observed per-operation cost,
   seeded with a prior so the first wave is already bounded. It sizes
   write waves against their time-box and decides when a read's
@@ -27,7 +26,6 @@ double-apply).
 
 from __future__ import annotations
 
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -35,7 +33,7 @@ from repro.service.clock import Clock
 
 
 class TransientServiceError(RuntimeError):
-    """A retryable fault in the service transport or backend."""
+    """A retryable fault in the service transport."""
 
 
 class RetryExhaustedError(RuntimeError):
@@ -57,7 +55,6 @@ class BreakerOpenError(RuntimeError):
 #: is permanent: it propagates to the caller un-retried.
 TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
     TransientServiceError,
-    BrokenProcessPool,
     TimeoutError,
     OSError,
 )
@@ -150,21 +147,6 @@ class CircuitBreaker:
             # probe path may) restarts the cool-down.
             self._opened_at = self._clock.now()
 
-    def trip(self) -> None:
-        """Force the breaker open immediately (e.g. on pool degrade).
-
-        Unlike :meth:`record_failure` this does not wait for the
-        failure threshold: the caller has direct evidence the backend
-        is gone, so counting further failures would only waste
-        attempts on a known-dead path.
-        """
-        if self.state != OPEN:
-            self.trips += 1
-        self.state = OPEN
-        self.consecutive_failures = max(
-            self.consecutive_failures, self.failure_threshold)
-        self._opened_at = self._clock.now()
-
     def should_probe(self) -> bool:
         """True once per cool-down interval while open (→ half-open)."""
         if self.state != OPEN:
@@ -242,7 +224,7 @@ class SupervisorConfig:
     #: Breaker: consecutive transient failures before degrading to the
     #: inline path.
     breaker_threshold: int = 3
-    #: Breaker cool-down before a half-open re-pool probe.
+    #: Breaker cool-down before a half-open transport probe.
     breaker_reset_s: float = 0.5
     #: Cost-model prior and blend weight.
     cost_prior_s: float = 1e-4

@@ -24,9 +24,7 @@ Concretely:
   backoff schedule, but only when the engine provably did not mutate
   (a cheap ``(capacity, size)`` witness detects partial application);
   exhaustion falls back to the bit-exact inline path and feeds the
-  circuit breaker. A worker-pool death trips the breaker immediately;
-  half-open probes attempt re-pooling via
-  :meth:`~repro.parallel.backend.SharedMemoryBackend.restore`.
+  circuit breaker, whose half-open probes retry the transport.
 * **Load shedding.** Reads past their deadline are served from the
   last materialized result with an explicit staleness marker
   (``ReadView.stale`` + ``lag_ops``) instead of blocking. Writes are
@@ -123,8 +121,6 @@ class ServiceReport:
     retries: int = 0
     retry_exhausted: int = 0
     inline_fallbacks: int = 0
-    backend_degrades: int = 0
-    repools: int = 0
     fresh_serves: int = 0
     stale_serves: int = 0
     forced_materializations: int = 0
@@ -198,10 +194,6 @@ class SessionSupervisor:
         self._checkpoint_dir = checkpoint_dir
         self._checkpoint_hook = checkpoint_hook
         self._ops_since_checkpoint = 0
-        engine = getattr(session, "engine", None)
-        self._backend = getattr(engine, "backend", None)
-        self._backend_was_degraded = bool(
-            getattr(self._backend, "degraded", False))
 
     # -- introspection -------------------------------------------------
     @property
@@ -330,14 +322,8 @@ class SessionSupervisor:
         wave = self._next_wave()
         if not wave:
             return 0
-        use_transport = True
-        probing = False
-        if self._breaker.is_open:
-            if self._breaker.should_probe():
-                probing = True
-                self._try_repool()
-            else:
-                use_transport = False
+        use_transport = (not self._breaker.is_open
+                         or self._breaker.should_probe())
         start = self._clock.now()
         if use_transport:
             try:
@@ -362,29 +348,8 @@ class SessionSupervisor:
         self.report.waves += 1
         self.report.applied_ops += len(wave)
         self._ops_since_checkpoint += len(wave)
-        self._check_backend(probing)
         self._maybe_checkpoint()
         return len(wave)
-
-    def _check_backend(self, probing: bool) -> None:
-        """Track pool health; a pooled→degraded transition trips fast."""
-        backend = self._backend
-        if backend is None:
-            return
-        degraded = bool(getattr(backend, "degraded", False))
-        if degraded and not self._backend_was_degraded:
-            self.report.backend_degrades += 1
-            # A dead pool is definitive — open immediately so waves
-            # stop paying for it and probes get scheduled.
-            self._breaker.trip()
-        elif probing and not degraded and self._backend_was_degraded:
-            self.report.repools += 1
-        self._backend_was_degraded = degraded
-
-    def _try_repool(self) -> None:
-        restore = getattr(self._backend, "restore", None)
-        if callable(restore) and getattr(self._backend, "degraded", False):
-            restore()
 
     def _maybe_checkpoint(self) -> None:
         every = self.config.checkpoint_every_ops

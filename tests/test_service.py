@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.parallel.blocks as blocks
 from repro.api.session import BatchValidationError, open_session
 from repro.data.database import DELETE, INSERT, Operation
 from repro.service import (
@@ -80,14 +79,6 @@ class TestPolicy:
         assert not breaker.should_probe()  # one probe per interval
         breaker.record_success()
         assert not breaker.is_open and breaker.recoveries == 1
-
-    def test_breaker_trip_opens_immediately(self):
-        clock = VirtualClock()
-        breaker = CircuitBreaker(clock, failure_threshold=3)
-        breaker.trip()
-        assert breaker.is_open and breaker.trips == 1
-        breaker.trip()  # idempotent while open
-        assert breaker.trips == 1
 
     def test_cost_model_prior_then_ewma(self):
         model = CostModel(prior_s=0.5, alpha=0.5)
@@ -429,7 +420,6 @@ class TestCheckpointWatchdog:
             from repro.persist.recovery import restore_engine
             restored, info = restore_engine(tmp_path / "ckpt")
             assert info["state_digest"] == sup.state_digest()
-            restored.close()
         finally:
             session.close()
 
@@ -505,43 +495,14 @@ class TestChaos:
         finally:
             session.close()
 
-    def test_pool_kill_degrades_trips_and_repools(self, monkeypatch):
-        # Force tiny problems onto the pool so the killed workers are
-        # actually dispatched to (test_parallel.py's sharding idiom).
-        monkeypatch.setattr(blocks, "SCORE_BLOCK_ROWS", 7)
-        monkeypatch.setattr(blocks, "SCORE_PAR_MIN_ELEMS", 1)
-        monkeypatch.setattr(blocks, "REPAIR_BLOCK_COLS", 3)
-        monkeypatch.setattr(blocks, "REPAIR_PAR_MIN_ELEMS", 1)
-        ops = _mixed_ops(21)
-        session = _session(parallel=2)
-        try:
-            backend = session.engine.backend
-            driver = SupervisedDriver(session, ServiceOptions(
-                config=SupervisorConfig(max_wave=6,
-                                        breaker_reset_s=0.0),
-                chaos=ChaosConfig(seed=3, pool_kill_waves=(2,))))
-            for i in range(0, len(ops), 9):
-                driver.feed(ops[i:i + 9])
-            driver.barrier()
-            report = driver.service_report()
-            assert report["chaos"]["pool_kills"] == 1
-            assert report["backend_degrades"] == 1
-            assert report["breaker"]["trips"] >= 1
-            # The half-open probe re-established the pool.
-            assert report["repools"] >= 1
-            assert backend.restores >= 1 and not backend.degraded
-            assert report["final_state_digest"] == _reference_digest(ops)
-        finally:
-            session.close()
-
     def test_parse_chaos_specs(self):
-        config = parse_chaos("latency:rate=0.5:dur=0.01,pool-kill:at=4+12",
+        config = parse_chaos("latency:rate=0.5:dur=0.01,transient:burst=3",
                              seed=9)
         assert config.seed == 9
         assert config.latency_rate == 0.5 and config.latency_s == 0.01
-        assert config.pool_kill_waves == (4, 12)
+        assert config.transient_burst == 3
         assert parse_chaos("all").active == (
-            "latency", "transient", "pool-kill", "malformed", "checkpoint")
+            "latency", "transient", "malformed", "checkpoint")
         for bad in ("", "warp-core", "latency:speed=3"):
             with pytest.raises(ValueError):
                 parse_chaos(bad)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.topk as topk_mod
 from repro.core.topk import ADD, REMOVE, ApproxTopKIndex
 from repro.data.database import Database
 from repro.geometry.sampling import sample_utilities_with_basis
@@ -55,6 +56,18 @@ class TestBootstrap:
         for i in range(index.pool_size):
             for pid in index.members_of(i):
                 assert i in index.sets_containing(pid)
+
+    def test_multi_chunk_bootstrap(self, small_cloud, monkeypatch):
+        # Large databases split the bootstrap GEMM into utility chunks
+        # (BOOTSTRAP_CHUNK_ELEMS // n utilities each); shrink the chunk
+        # so a small cloud takes that path: 300 points -> 5 per chunk.
+        monkeypatch.setattr(topk_mod, "BOOTSTRAP_CHUNK_ELEMS", 1500)
+        db, index = make_index(small_cloud, k=2)
+        check_invariant(index, db)
+        monkeypatch.undo()
+        _, whole = make_index(small_cloud, k=2)
+        for i in range(index.pool_size):
+            assert index.members_of(i) == whole.members_of(i)
 
     def test_small_db_all_members(self, rng):
         pts = rng.random((3, 3))
