@@ -1,7 +1,8 @@
-"""Ablation — value of the dual-tree indexes (§III-C).
+"""Ablation — value of the incremental top-k indexes (§III-C).
 
-FD-RMS prunes top-k maintenance with a cone tree (insertions) and the
-``S(p)`` inverted index + k-d tree (deletions). The ablation measures
+FD-RMS prunes top-k maintenance with the threshold vector (insertions:
+only utilities with ``<u_i, p> >= τ_i`` are touched) and the ``S(p)``
+inverted index + k-d tree (deletions). The ablation measures
 the naive alternative: refresh every utility's approximate top-k by a
 full scan on every update.
 

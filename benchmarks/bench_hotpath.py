@@ -1,23 +1,21 @@
-"""Hot-path benchmark: flat-array dual-tree engine + batched updates.
+"""Hot-path benchmark: FD-RMS updates, one op at a time and batched.
 
-Times the FD-RMS update hot path in three configurations on the paper's
+Times the FD-RMS update hot path in two configurations on the paper's
 workload shapes (§IV-A insert-then-delete, and a maximal-churn mixed
 stream):
 
-* ``seed single-op``  — the frozen seed engine (object-graph k-d tree +
-  cone tree from ``_legacy_seed.py``), one operation at a time;
-* ``flat single-op``  — the current flat-array engine, one op at a time;
-* ``flat batched``    — the current engine through ``apply_batch``.
+* ``flat single-op``  — the engine, one operation at a time;
+* ``flat batched``    — the engine through ``apply_batch``.
 
-It also measures raw index query throughput (``top_k`` / ``range_query``
-over the live tuple set) for the seed vs. flat k-d tree.
+Both must reach the same result. It also times a warm checkpoint
+restore against a cold start, and (full run only) raw tuple-index
+query throughput (``top_k`` / ``range_query`` over the live tuple set).
 
 Results go to stdout and to a ``BENCH_hotpath.json`` trajectory at the
-repo root so future PRs can regress-check. The process exits non-zero
-when batched update throughput falls below the single-op path — the
-sanity floor used by the CI perf-smoke job (``--quick``); the full run
-additionally reports the batched-vs-seed speedup the PR targets (>= 5x
-on the 100 k tuple / 10 k op mixed workload).
+repo root. The process exits non-zero when a warm restore is slower
+than a cold start, or, with ``--baseline``, when the restore speedup
+falls below the tolerance band of the committed trajectory — the gate
+used by the CI perf-smoke job (``--quick``).
 
 Usage::
 
@@ -37,8 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))  # _legacy_seed
-
 from repro.core.fdrms import FDRMS
 from repro.data.database import INSERT, Database
 from repro.data.workload import (
@@ -49,24 +45,11 @@ from repro.index.kdtree import KDTree
 from repro.persist.atomic import write_json_atomic
 from repro.persist.checkpoint import load_checkpoint, save_checkpoint
 
-from _legacy_seed import LegacyConeTree, LegacyKDTree
-
 R, K, EPS, M_MAX = 20, 1, 0.1, 1024
 
 
-def _legacy_index_factory(ids, points, d):
-    if len(ids) == 0:
-        return LegacyKDTree(d)
-    return LegacyKDTree.build(ids, points)
-
-
-def _make_engine(initial, *, legacy: bool) -> FDRMS:
-    db = Database(initial)
-    kwargs = {}
-    if legacy:
-        kwargs = dict(index_factory=_legacy_index_factory,
-                      cone_factory=LegacyConeTree)
-    return FDRMS(db, K, R, EPS, m_max=M_MAX, seed=0, **kwargs)
+def _make_engine(initial) -> FDRMS:
+    return FDRMS(Database(initial), K, R, EPS, m_max=M_MAX, seed=0)
 
 
 def _drive_single(engine: FDRMS, ops) -> float:
@@ -85,8 +68,7 @@ def _drive_batched(engine: FDRMS, ops) -> float:
     return time.perf_counter() - start
 
 
-def _bench_workload(name: str, initial, ops, *,
-                    skip_legacy: bool) -> tuple[dict, FDRMS]:
+def _bench_workload(name: str, initial, ops) -> tuple[dict, FDRMS]:
     """Returns the report entry and the driven flat-batched engine
     (reused by the checkpoint-restore benchmark)."""
     print(f"\n--- workload {name}: |P0|={initial.shape[0]}, "
@@ -95,13 +77,10 @@ def _bench_workload(name: str, initial, ops, *,
                  "engines": {}}
     results = {}
     kept: FDRMS | None = None
-    plan = [("flat_batched", False, _drive_batched),
-            ("flat_single_op", False, _drive_single)]
-    if not skip_legacy:
-        plan.append(("seed_single_op", True, _drive_single))
-    for label, legacy, drive in plan:
+    for label, drive in (("flat_batched", _drive_batched),
+                         ("flat_single_op", _drive_single)):
         t0 = time.perf_counter()
-        engine = _make_engine(initial, legacy=legacy)
+        engine = _make_engine(initial)
         init_s = time.perf_counter() - t0
         seconds = drive(engine, ops)
         results[label] = engine.result()
@@ -120,31 +99,10 @@ def _bench_workload(name: str, initial, ops, *,
                 for phase, secs in engine.init_profile.items()}
         print(f"{label:15s} init {init_s:6.2f}s  updates {seconds:7.2f}s "
               f"({1e3 * seconds / len(ops):7.3f} ms/op, {ops_per_s:9.0f} op/s)")
-    if skip_legacy:
-        # The seed engine's *updates* are too slow for CI, but its init
-        # is one build — measure it anyway so the init-speed gate stays
-        # machine-relative (two builds timed in the same process).
-        t0 = time.perf_counter()
-        _make_engine(initial, legacy=True)
-        out["engines"]["seed_single_op"] = {
-            "init_seconds": round(time.perf_counter() - t0, 4)}
-    # All engines maintain the same invariants on the same utility sample;
-    # the flat single-op and batched paths must agree exactly.
+    # Both paths maintain the same invariants on the same utility
+    # sample; the single-op and batched results must agree exactly.
     assert results["flat_batched"] == results["flat_single_op"], \
         "batched result diverged from single-op result"
-    single = out["engines"]["flat_single_op"]["update_seconds"]
-    batched = out["engines"]["flat_batched"]["update_seconds"]
-    out["batched_vs_single_speedup"] = round(single / batched, 2)
-    seed_init = out["engines"]["seed_single_op"]["init_seconds"]
-    flat_init = out["engines"]["flat_batched"]["init_seconds"]
-    out["init_speedup_vs_seed"] = round(seed_init / flat_init, 2)
-    print(f"init speedup vs seed trees: {out['init_speedup_vs_seed']:.2f}x")
-    if not skip_legacy:
-        seed_s = out["engines"]["seed_single_op"]["update_seconds"]
-        out["batched_vs_seed_speedup"] = round(seed_s / batched, 2)
-        print(f"speedup: batched vs seed single-op "
-              f"{out['batched_vs_seed_speedup']:.2f}x, "
-              f"vs flat single-op {out['batched_vs_single_speedup']:.2f}x")
     assert kept is not None
     return out, kept
 
@@ -182,26 +140,25 @@ def _bench_restore(engine: FDRMS, cold_init_seconds: float) -> dict:
 
 
 def _bench_queries(n: int, d: int, n_queries: int) -> dict:
-    """Raw top-k / range query throughput, seed vs flat tuple index."""
+    """Raw top-k / range query throughput of the tuple index."""
     rng = np.random.default_rng(17)
     pts = rng.random((n, d))
     us = rng.random((n_queries, d))
     taus = [float(np.quantile(pts @ u, 0.999)) for u in us]
     out: dict = {"n": n, "d": d, "n_queries": n_queries}
-    for label, tree in (("flat", KDTree.build(range(n), pts)),
-                        ("seed", LegacyKDTree.build(range(n), pts))):
-        t0 = time.perf_counter()
-        for u in us:
-            tree.top_k(u, 10)
-        topk_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for u, tau in zip(us, taus):
-            tree.range_query(u, tau)
-        range_s = time.perf_counter() - t0
-        out[label] = {"topk_ms": round(1e3 * topk_s / n_queries, 3),
-                      "range_ms": round(1e3 * range_s / n_queries, 3)}
-        print(f"{label} index: top_k {1e3 * topk_s / n_queries:6.2f} ms/q, "
-              f"range {1e3 * range_s / n_queries:6.2f} ms/q  (n={n})")
+    tree = KDTree.build(range(n), pts)
+    t0 = time.perf_counter()
+    for u in us:
+        tree.top_k(u, 10)
+    topk_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for u, tau in zip(us, taus):
+        tree.range_query(u, tau)
+    range_s = time.perf_counter() - t0
+    out["flat"] = {"topk_ms": round(1e3 * topk_s / n_queries, 3),
+                   "range_ms": round(1e3 * range_s / n_queries, 3)}
+    print(f"flat index: top_k {1e3 * topk_s / n_queries:6.2f} ms/q, "
+          f"range {1e3 * range_s / n_queries:6.2f} ms/q  (n={n})")
     return out
 
 
@@ -209,8 +166,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
                     help="CI perf-smoke: mixed workload only, floor check")
-    ap.add_argument("--skip-legacy", action="store_true",
-                    help="skip the (slow) seed single-op baseline")
     ap.add_argument("--n", type=int, default=100_000,
                     help="dataset size (default: the paper-scale 100k)")
     ap.add_argument("--ops", type=int, default=10_000,
@@ -221,10 +176,10 @@ def main(argv=None) -> int:
                     / "BENCH_hotpath.json")
     ap.add_argument("--baseline", type=Path, default=None,
                     help="committed BENCH_hotpath.json to regression-check "
-                         "against (machine-relative speedups, not wall "
+                         "against (machine-relative speedup, not wall "
                          "times)")
     ap.add_argument("--tolerance", type=float, default=0.4,
-                    help="allowed relative drop in batched-vs-single "
+                    help="allowed relative drop in the warm-restore "
                          "speedup vs the baseline (0.4 = fresh must reach "
                          "60%% of the committed speedup)")
     args = ap.parse_args(argv)
@@ -243,10 +198,9 @@ def main(argv=None) -> int:
     warm = make_skewed_workload(rng.random((2000, args.d)),
                                 insert_fraction=0.5, n_operations=200,
                                 seed=1)
-    for legacy in (False, True) if not args.skip_legacy else (False,):
-        eng = _make_engine(warm.initial, legacy=legacy)
-        _drive_batched(eng, warm.operations[:100])
-        _drive_single(eng, warm.operations[100:])
+    eng = _make_engine(warm.initial)
+    _drive_batched(eng, warm.operations[:100])
+    _drive_single(eng, warm.operations[100:])
 
     report: dict = {
         "benchmark": "hotpath",
@@ -261,8 +215,7 @@ def main(argv=None) -> int:
     mixed = make_skewed_workload(pts, insert_fraction=0.5,
                                  n_operations=args.ops, seed=3)
     mixed_out, mixed_engine = _bench_workload(
-        "mixed 50/50 churn", mixed.initial, mixed.operations,
-        skip_legacy=args.skip_legacy)
+        "mixed 50/50 churn", mixed.initial, mixed.operations)
     report["workloads"]["mixed_50_50"] = mixed_out
 
     report["restore"] = _bench_restore(
@@ -274,19 +227,13 @@ def main(argv=None) -> int:
         paper = make_paper_workload(pts[: args.n // 2], seed=4)
         report["workloads"]["paper_iv_a"], _ = _bench_workload(
             "paper §IV-A (insert phase, then delete phase)",
-            paper.initial, paper.operations, skip_legacy=args.skip_legacy)
+            paper.initial, paper.operations)
         print("\n--- index query throughput ---")
         report["queries"] = _bench_queries(args.n, args.d, n_queries=30)
 
     write_json_atomic(args.out, report)
     print(f"\nwrote {args.out}")
 
-    floor_ok = all(w["batched_vs_single_speedup"] >= 1.0
-                   for w in report["workloads"].values())
-    if not floor_ok:
-        print("FAIL: batched update throughput fell below the "
-              "single-op path", file=sys.stderr)
-        return 1
     if report["restore"]["restore_speedup_vs_cold"] < 1.0:
         print("FAIL: warm checkpoint restore is slower than a cold "
               "start", file=sys.stderr)
@@ -294,65 +241,37 @@ def main(argv=None) -> int:
     if baseline is not None and not _check_baseline(report, baseline,
                                                    args.tolerance):
         return 1
-    print("OK: batched >= single-op on every workload"
-          + ("" if args.skip_legacy else "; seed-relative speedups above"))
+    print("OK: warm restore beats a cold start")
     return 0
 
 
 def _check_baseline(report: dict, baseline: dict, tolerance: float) -> bool:
     """Regression gate against a committed trajectory.
 
-    Compares the *machine-relative* batched-vs-single speedup per
-    workload (absolute wall times vary wildly across CI runners; the
-    ratio of two measurements from the same process does not) and fails
-    when a fresh speedup drops below ``(1 - tolerance)`` of the
-    committed one.
+    Compares the *machine-relative* warm-restore speedup (absolute wall
+    times vary wildly across CI runners; the ratio of two measurements
+    from the same process does not) and fails when the fresh speedup
+    drops below ``(1 - tolerance)`` of the committed one.
     """
-    ok = True
-    compared = 0
-
-    def gate(scope: str, label: str, committed: float, got: float) -> None:
-        nonlocal ok, compared
-        compared += 1
-        floor = committed * (1.0 - tolerance)
-        if got < floor:
-            print(f"FAIL: {scope}: {label} {got:.2f}x fell below "
-                  f"{floor:.2f}x ({(1 - tolerance):.0%} of the "
-                  f"committed {committed:.2f}x)", file=sys.stderr)
-            ok = False
-        else:
-            print(f"regression gate: {scope}: {label} {got:.2f}x >= "
-                  f"{floor:.2f}x (committed {committed:.2f}x, "
-                  f"tolerance {tolerance:.0%})")
-
-    gates = (("batched_vs_single_speedup", "batched-vs-single speedup"),
-             ("init_speedup_vs_seed", "init speedup vs seed trees"))
-    for name, fresh in report["workloads"].items():
-        base = baseline.get("workloads", {}).get(name)
-        if base is None:
-            continue
-        for key, label in gates:
-            if key not in base or key not in fresh:
-                continue
-            gate(name, label, float(base[key]), float(fresh[key]))
-    base_restore = baseline.get("restore", {})
-    fresh_restore = report.get("restore", {})
-    if ("restore_speedup_vs_cold" in base_restore
-            and "restore_speedup_vs_cold" in fresh_restore):
-        gate("restore", "warm-restore speedup vs cold init",
-             float(base_restore["restore_speedup_vs_cold"]),
-             float(fresh_restore["restore_speedup_vs_cold"]))
-    if compared == 0:
-        # A baseline that shares no workload with the fresh report means
-        # the gate checked nothing — fail loudly instead of rubber-
-        # stamping (wrong file, renamed workloads, truncated JSON).
-        print("FAIL: --baseline shares no workload keys with this run; "
-              "the regression gate compared nothing", file=sys.stderr)
+    committed = baseline.get("restore", {}).get("restore_speedup_vs_cold")
+    if committed is None:
+        # A baseline without the gated key means the gate checked
+        # nothing — fail loudly instead of rubber-stamping (wrong file,
+        # truncated JSON).
+        print("FAIL: --baseline has no restore_speedup_vs_cold; the "
+              "regression gate compared nothing", file=sys.stderr)
         return False
-    if ok:
-        print("OK: no speedup regression against the committed baseline")
-    return ok
-
+    got = float(report["restore"]["restore_speedup_vs_cold"])
+    floor = float(committed) * (1.0 - tolerance)
+    if got < floor:
+        print(f"FAIL: warm-restore speedup vs cold init {got:.2f}x fell "
+              f"below {floor:.2f}x ({(1 - tolerance):.0%} of the "
+              f"committed {float(committed):.2f}x)", file=sys.stderr)
+        return False
+    print(f"regression gate: warm-restore speedup vs cold init "
+          f"{got:.2f}x >= {floor:.2f}x (committed {float(committed):.2f}x, "
+          f"tolerance {tolerance:.0%})")
+    return True
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -48,12 +48,6 @@ def hotpath_summary(path: Path) -> list[str]:
                 f"{_fmt(eng.get('init_seconds'))} | "
                 f"{_fmt(eng.get('ops_per_second'), '{:.0f}')} | "
                 f"{_fmt(eng.get('ms_per_op'), '{:.3f}')} |")
-        speed = wl.get("batched_vs_single_speedup")
-        init_speed = wl.get("init_speedup_vs_seed")
-        lines.append(
-            f"| {wname} | _speedups_ | init vs seed "
-            f"{_fmt(init_speed)}x | batched vs single "
-            f"{_fmt(speed)}x | |")
     breakdown = (data.get("workloads", {})
                  .get("mixed_50_50", {}).get("cold_start_breakdown"))
     if breakdown:

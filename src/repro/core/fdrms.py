@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from typing import Any
 
 import numpy as np
@@ -69,9 +69,6 @@ class FDRMS:
         Upper bound ``M`` on the number of utility vectors (``M > r``).
     seed : int | numpy.random.Generator | None
         Randomness for the utility sample.
-    index_factory, cone_factory : callables, optional
-        Forwarded to :class:`~repro.core.ApproxTopKIndex` — swap the
-        tuple/utility index implementations (ablation and benchmarking).
 
     Attributes
     ----------
@@ -80,9 +77,7 @@ class FDRMS:
     """
 
     def __init__(self, db: Database, k: int, r: int, eps: float, *,
-                 m_max: int = 1024, seed: SeedLike = None,
-                 index_factory: Callable[..., Any] | None = None,
-                 cone_factory: Callable[..., Any] | None = None) -> None:
+                 m_max: int = 1024, seed: SeedLike = None) -> None:
         self._db = db
         self._k = check_k(k)
         self._r = check_size_constraint(r, db.d)
@@ -93,9 +88,7 @@ class FDRMS:
         t0 = time.perf_counter()
         utilities = sample_utilities_with_basis(self._m_max, db.d, seed=seed)
         t1 = time.perf_counter()
-        self._topk = ApproxTopKIndex(db, utilities, self._k, self._eps,
-                                     index_factory=index_factory,
-                                     cone_factory=cone_factory)
+        self._topk = ApproxTopKIndex(db, utilities, self._k, self._eps)
         t2 = time.perf_counter()
         self._cover = StableSetCover()
         self._m = self._r
@@ -228,10 +221,14 @@ class FDRMS:
         Hashes only observable state — alive tuples, member rows in
         arrival order, thresholds, the cover assignment, counters —
         never physical layout (tree shape, array capacities, free-list
-        or adjacency order). Two engines that reached the same logical
-        state through different execution paths (cold start vs restore,
-        batched vs sequential) digest identically; this is the parity
-        check behind crash recovery.
+        or adjacency order). A restored engine digests identically to
+        the one that was saved; this is the parity check behind crash
+        recovery. Batched and sequential runs of the same operations do
+        *not* in general: they agree on ids, cover and results, but the
+        sequential path scores an insertion with a mat-vec and the
+        batched path with a GEMM, so stored member scores and
+        thresholds may differ in the last ulp (docs/DETERMINISM.md,
+        "Batched ≡ sequential").
         """
         h = hashlib.sha256()
 
@@ -385,9 +382,11 @@ class FDRMS:
         utility with a non-empty approximate top-k is covered by the
         result (the feasibility core of Theorem 2).
 
-        ``deep=True`` additionally recomputes every ``Φ_{k,ε}`` from the
-        raw database (O(M·n)) and compares — the full §II-A membership
-        invariant. Intended for tests and debugging, not hot paths.
+        ``deep=True`` additionally recomputes every ``Φ_{k,ε}`` and,
+        above ``k`` tuples, every threshold ``τ_i`` from the raw
+        database (O(M·n)) and compares — the full §II-A membership
+        invariant, plus the threshold vector that filters insertions.
+        Intended for tests and debugging, not hot paths.
         """
         result = set(self.result())
         for pid in sorted(result):
@@ -407,16 +406,24 @@ class FDRMS:
         for u_idx in range(self._m_max):
             u = self._topk.utility(u_idx)
             members = set(self._topk.members_of(u_idx))
-            if ids.size == 0:
-                assert members == set()
-                continue
             scores = pts @ u
             if ids.size <= self._k:
+                # The stored τ is not checked here: insertions up to
+                # |P| = k + 1 reach every utility without reading it,
+                # and a deletion down to |P| <= k leaves the τ of the
+                # utilities it did not repair as it was.
                 tau = 0.0
             else:
                 kth = float(np.partition(scores, ids.size - self._k)
                             [ids.size - self._k])
                 tau = (1.0 - self._eps) * kth
+                stored = self._topk.threshold(u_idx)
+                assert abs(stored - tau) <= SCORE_TOL, (
+                    f"threshold drift at utility {u_idx}: stored "
+                    f"{stored!r}, recomputed {tau!r}")
+            if ids.size == 0:
+                assert members == set()
+                continue
             expect = {int(ids[row])
                       for row in np.flatnonzero(scores >= tau - SCORE_TOL)}
             for pid in sorted(members ^ expect):

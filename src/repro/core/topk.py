@@ -2,13 +2,17 @@
 
 For each sampled utility ``u_i``, FD-RMS tracks the set of tuples whose
 score is at least ``τ_i = (1 - ε) · ω_k(u_i, P_t)`` (§II-A). This module
-keeps those sets current across tuple insertions and deletions using the
-dual-tree of §III-C:
+keeps those sets current across tuple insertions and deletions using two
+structures:
 
 * the **k-d tree** (tuple index) answers exact top-k and score-range
   queries against the live database;
-* the **cone tree** (utility index) finds, for an inserted tuple, the
-  utilities whose threshold the tuple reaches — all others are untouched.
+* the **threshold vector** ``τ`` (one float per utility) finds, for an
+  inserted tuple, the utilities whose threshold the tuple reaches — all
+  others are untouched. The paper's §III-C uses a cone tree here; every
+  insertion already scores the tuple against all ``M`` utilities with
+  one mat-vec, so one vector comparison ``U·p >= τ`` gives the same set
+  at a fraction of the cost of a tree walk.
 
 Membership invariant, for every utility ``i`` and time ``t``::
 
@@ -50,7 +54,6 @@ from numpy.typing import ArrayLike, NDArray
 
 from repro._types import AnyArray, FloatArray, IndexArray
 from repro.data.database import INSERT, Database, iter_op_runs
-from repro.index.conetree import ConeTree
 from repro.index.kdtree import KDTree
 from repro.utils import check_epsilon, check_k
 
@@ -617,24 +620,17 @@ class ApproxTopKIndex:
         allows any space-partitioning index with the same interface
         (``insert`` / ``delete`` / ``top_k`` / ``range_query``), e.g.
         :class:`repro.index.quadtree.QuadTree`.
-    cone_factory : callable(utilities) -> utility index, optional
-        Builds the utility index UI (default: the cone tree). Mainly an
-        ablation/benchmark hook; any object with the ``ConeTree``
-        interface (``activate`` / ``set_threshold`` / ``threshold`` /
-        ``reached_by``) works.
 
     Attributes
     ----------
     build_profile : dict[str, float]
-        Cold-start phase breakdown in seconds (tree builds, bootstrap
-        GEMM + partition, membership fill, threshold activation).
+        Cold-start phase breakdown in seconds (tree build, bootstrap
+        GEMM + partition, membership fill).
     """
 
     def __init__(self, db: Database, utilities: ArrayLike, k: int, eps: float, *,
                  index_factory: Callable[[IndexArray, FloatArray, int], Any]
-                 | None = None,
-                 cone_factory: Callable[[FloatArray], Any] | None = None
-                 ) -> None:
+                 | None = None) -> None:
         self._db = db
         self._u = np.ascontiguousarray(utilities, dtype=np.float64)
         if self._u.ndim != 2 or self._u.shape[1] != db.d:
@@ -654,13 +650,7 @@ class ApproxTopKIndex:
         # see _stage_point / _flush_staged.
         self._staged: dict[int, FloatArray] = {}
         self._tombstones: list[int] = []
-        t1 = time.perf_counter()
-        if cone_factory is None:
-            cone_factory = ConeTree
-        self._cone = cone_factory(self._u)
-        t2 = time.perf_counter()
-        self.build_profile["kdtree_build"] = t1 - t0
-        self.build_profile["conetree_build"] = t2 - t1
+        self.build_profile["kdtree_build"] = time.perf_counter() - t0
         self._bootstrap(ids, pts)
 
     # ------------------------------------------------------------------
@@ -701,7 +691,7 @@ class ApproxTopKIndex:
 
     def threshold(self, u_index: int) -> float:
         """Current ``τ_i`` of utility ``u_index``."""
-        return self._cone.threshold(u_index)
+        return float(self._tau[u_index])
 
     # ------------------------------------------------------------------
     # Updates
@@ -729,7 +719,7 @@ class ApproxTopKIndex:
             # time. Either way every utility absorbs the point.
             reached = np.arange(self._m_total, dtype=np.intp)
         else:
-            reached = np.asarray(self._cone.reached_by(vec), dtype=np.intp)
+            reached = np.flatnonzero(row >= self._tau)
         self._absorb_new_tuple(pid, row, n, reached, log)
         return pid, log
 
@@ -766,8 +756,8 @@ class ApproxTopKIndex:
         """Apply a workload slice; returns per-op ``(id, deltas)`` pairs.
 
         Runs of consecutive insertions go through
-        :meth:`begin_insert_run` (one GEMM instead of per-tuple cone
-        traversals); runs of consecutive deletions go through
+        :meth:`begin_insert_run` (one GEMM instead of one mat-vec per
+        tuple); runs of consecutive deletions go through
         :meth:`begin_delete_run` (one bulk database removal, tombstoned
         tuple-index removals, shared repair snapshots). The id is the
         inserted tuple's id for insertions, ``None`` for deletions.
@@ -902,16 +892,20 @@ class ApproxTopKIndex:
         Staged tuple-index work is flushed first — the staging buffers
         are a pure physical optimization, so an empty-buffer snapshot is
         logically identical and restore starts clean. Only the default
-        tree types serialize; custom factories have no schema.
+        tuple index serializes; custom factories have no schema.
+
+        The thresholds are stored under ``cone_tau``/``cone_active``
+        (named for the cone tree that once held them) so checkpoints
+        stay byte-compatible across that change; the active mask is
+        ``isfinite(tau)``.
         """
-        if type(self._kdtree) is not KDTree or \
-                type(self._cone) is not ConeTree:
-            raise TypeError(
-                "only the default KDTree/ConeTree indexes are serializable")
+        if type(self._kdtree) is not KDTree:
+            raise TypeError("only the default KDTree index is serializable")
         self._flush_staged()
         state = {"u": self._u.copy()}
         for prefix, sub in (("kd_", self._kdtree.export_state()),
-                            ("cone_", self._cone.export_state()),
+                            ("cone_", {"tau": self._tau.copy(),
+                                       "active": np.isfinite(self._tau)}),
                             ("ms_", self._store.export_state())):
             # reprolint: disable=RPL001 -- key relabeling; read by name
             for key, val in sub.items():
@@ -936,8 +930,13 @@ class ApproxTopKIndex:
         self._kdtree = KDTree.from_state(_sub_state(state, "kd_"))
         self._staged = {}
         self._tombstones = []
-        self._cone = ConeTree(self._u)
-        self._cone.restore_state(_sub_state(state, "cone_"))
+        tau = np.asarray(state["cone_tau"], dtype=np.float64)
+        active = np.asarray(state["cone_active"], dtype=bool)
+        if tau.shape != (self._m_total,) or active.shape != (self._m_total,):
+            raise ValueError("cone state does not match this utility pool")
+        if not np.array_equal(active, np.isfinite(tau)):
+            raise ValueError("cone_active disagrees with isfinite(cone_tau)")
+        self._tau = tau.copy()
         self.build_profile = {}
         return self
 
@@ -956,8 +955,8 @@ class ApproxTopKIndex:
         yield "member_len", ms["row_len"]
         yield "member_ids", ms["ids_flat"]
         yield "member_scores", ms["scores_flat"]
-        yield "tau", np.asarray(self._thresholds_vector())
-        yield "active", np.asarray(self._cone.active_mask())
+        yield "tau", self._tau
+        yield "active", np.isfinite(self._tau)
 
     def _bootstrap(self, ids: IndexArray, pts: FloatArray) -> None:
         """Vectorized initial computation of every ``Φ_{k,ε}``.
@@ -1027,17 +1026,10 @@ class ApproxTopKIndex:
             starts = upids_pos
             ends = np.r_[upids_pos[1:], pids.size]
             store.set_inverted_bootstrap(pids[starts], starts, ends, owners)
-        t3 = time.perf_counter()
-        bulk_activate = getattr(self._cone, "activate_many", None)
-        if bulk_activate is not None:
-            bulk_activate(np.arange(m_total, dtype=np.intp), all_taus)
-        else:
-            for i in range(m_total):
-                self._cone.activate(i, float(all_taus[i]))
-        t4 = time.perf_counter()
+        self._tau = all_taus
         self.build_profile["bootstrap_gemm"] = t_gemm
-        self.build_profile["membership_fill"] = t_fill + (t3 - t2)
-        self.build_profile["threshold_activate"] = t4 - t3
+        self.build_profile["membership_fill"] = \
+            t_fill + (time.perf_counter() - t2)
 
     def _absorb_new_tuple(self, pid: int, row: FloatArray, n: int,
                           reached: AnyArray, log: DeltaLog) -> None:
@@ -1078,12 +1070,7 @@ class ApproxTopKIndex:
                 log.extend_one_utility(i, ev_ids, REMOVE_CODE)
                 prev = p + 1
             log.extend_one_pid(reached[prev:], pid, ADD_CODE)
-        batcher = getattr(self._cone, "set_thresholds", None)
-        if batcher is not None:
-            batcher(reached, taus)
-        else:
-            for i, tau in zip(reached.tolist(), taus.tolist()):
-                self._cone.set_threshold(i, float(tau))
+        self._tau[reached] = taus
 
     def _compute_repairs(self, idxs: IndexArray, n_db: int,
                          run: "_DeleteRun | None"
@@ -1152,7 +1139,7 @@ class ApproxTopKIndex:
             for pid in gone.tolist():
                 store.remove_owner(pid, i)
             log.extend_one_utility(i, gone, REMOVE_CODE)
-            self._cone.set_threshold(i, 0.0)
+            self._tau[i] = 0.0
             return
         tau, fresh_ids, fresh_scores = repair
         fresh_ids = np.asarray(fresh_ids, dtype=np.intp)
@@ -1172,15 +1159,7 @@ class ApproxTopKIndex:
         for pid in new_ids.tolist():
             store.add_owner(int(pid), i)
         log.extend_one_utility(i, new_ids, ADD_CODE)
-        self._cone.set_threshold(i, tau)
-
-    def _thresholds_vector(self) -> FloatArray:
-        """All ``τ_i`` as one vector (from the cone tree when possible)."""
-        getter = getattr(self._cone, "thresholds", None)
-        if getter is not None:
-            return getter()
-        return np.asarray([self._cone.threshold(i)
-                           for i in range(self._m_total)])
+        self._tau[i] = tau
 
 
 class _InsertRun:
@@ -1193,7 +1172,7 @@ class _InsertRun:
     query the tuple index, the bulk load cannot be observed by the
     per-op maintenance, so the delta stream is identical to calling
     ``ApproxTopKIndex.insert`` once per point — the per-op work is one
-    vectorized threshold comparison instead of a cone-tree traversal.
+    vectorized threshold comparison against a precomputed score row.
     """
 
     __slots__ = ("_index", "_pids", "_scores", "_pos", "_n0")
@@ -1253,7 +1232,7 @@ class _InsertRun:
         if n <= index._k + 1:
             reached = np.arange(index._m_total, dtype=np.intp)
         else:
-            reached = np.flatnonzero(row >= index._thresholds_vector())
+            reached = np.flatnonzero(row >= index._tau)
         index._absorb_new_tuple(pid, row, n, reached, log)
         return pid, log
 

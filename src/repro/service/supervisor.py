@@ -64,6 +64,11 @@ __all__ = ["ReadView", "ServiceReport", "SessionSupervisor", "result_digest"]
 #: Cost-model key for result materialization (reads).
 _READ_KIND = "read"
 
+#: Admission latencies kept per supervisor: the most recent submits
+#: only, so a long-lived tenant's memory and each stats call's
+#: percentile cost stay bounded.
+ADMISSION_WINDOW = 4096
+
 
 def result_digest(session: Session) -> str:
     """Wave-boundary-invariant digest of a session's observable state.
@@ -126,10 +131,12 @@ class ServiceReport:
     forced_materializations: int = 0
     checkpoints: int = 0
     checkpoint_failures: int = 0
-    admission_ms: list[float] = field(default_factory=list)
+    admission_ms: deque[float] = field(
+        default_factory=lambda: deque(maxlen=ADMISSION_WINDOW))
 
     def admission_percentiles(self) -> dict[str, float]:
-        """p50/p99/max admission latency (ms) across submit calls."""
+        """p50/p99/max admission latency (ms) over the last
+        :data:`ADMISSION_WINDOW` submit calls."""
         if not self.admission_ms:
             return {"p50": 0.0, "p99": 0.0, "max": 0.0}
         lat = np.asarray(self.admission_ms, dtype=float)

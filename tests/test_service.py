@@ -151,6 +151,21 @@ class TestAdmission:
         finally:
             session.close()
 
+    def test_admission_record_is_bounded(self):
+        from repro.service.supervisor import ADMISSION_WINDOW
+        rng = np.random.default_rng(5)
+        session = _session()
+        try:
+            sup = SessionSupervisor(session, clock=VirtualClock())
+            for _ in range(5000):
+                sup.submit([Operation(INSERT, rng.random(4), None)])
+            assert ADMISSION_WINDOW == 4096
+            assert len(sup.report.admission_ms) == 4096
+            lat = sup.report.to_dict()["admission_latency_ms"]
+            assert sorted(lat) == ["max", "p50", "p99"]
+        finally:
+            session.close()
+
     def test_malformed_request_rejected_atomically(self):
         session = _session()
         try:

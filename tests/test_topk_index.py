@@ -32,6 +32,7 @@ def check_invariant(index: ApproxTopKIndex, db: Database) -> None:
         else:
             tau = (1.0 - index.eps) * float(
                 np.partition(scores, ids.size - index.k)[ids.size - index.k])
+            assert abs(index.threshold(i) - tau) <= 1e-12, (i, tau)
         expect = {int(ids[j]) for j in np.flatnonzero(scores >= tau - 1e-12)}
         # Allow boundary tuples to differ only by floating error.
         sym = members ^ expect
@@ -82,6 +83,24 @@ class TestBootstrap:
             ApproxTopKIndex(db, utils, 0, 0.05)
         with pytest.raises(ValueError):
             ApproxTopKIndex(db, utils, 1, 0.0)
+
+
+class TestFromState:
+    def test_rejects_wrong_length_tau(self, small_cloud):
+        db, index = make_index(small_cloud)
+        state = index.export_state()
+        state["cone_tau"] = state["cone_tau"][:-1]
+        state["cone_active"] = state["cone_active"][:-1]
+        with pytest.raises(ValueError, match="does not match this utility"):
+            ApproxTopKIndex.from_state(state, db, index.k, index.eps)
+
+    def test_rejects_mask_that_disagrees_with_tau(self, small_cloud):
+        db, index = make_index(small_cloud)
+        state = index.export_state()
+        state["cone_active"] = state["cone_active"].copy()
+        state["cone_active"][3] = False
+        with pytest.raises(ValueError, match="isfinite"):
+            ApproxTopKIndex.from_state(state, db, index.k, index.eps)
 
 
 class TestInsert:

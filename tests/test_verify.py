@@ -50,6 +50,15 @@ class TestVerify:
         with pytest.raises(AssertionError):
             algo.verify(deep=True)
 
+    def test_detects_corrupted_threshold(self, small_cloud):
+        db = Database(small_cloud)
+        algo = FDRMS(db, 2, 8, 0.05, m_max=64, seed=0)
+        # Nudge one threshold without touching its member set: only the
+        # threshold check can see it.
+        algo._topk._tau[5] += 1e-6
+        with pytest.raises(AssertionError, match="threshold drift"):
+            algo.verify(deep=True)
+
     def test_empty_database_ok(self):
         db = Database(d=3)
         algo = FDRMS(db, 1, 3, 0.05, m_max=16, seed=0)

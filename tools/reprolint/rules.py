@@ -47,7 +47,6 @@ _HOT_ALLOC_MODULES = (
 
 _HOT_LOOP_MODULES = _HOT_ALLOC_MODULES + (
     "src/repro/index/kdtree.py",
-    "src/repro/index/conetree.py",
 )
 
 
