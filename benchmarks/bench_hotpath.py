@@ -238,11 +238,30 @@ def main(argv=None) -> int:
         print("FAIL: warm checkpoint restore is slower than a cold "
               "start", file=sys.stderr)
         return 1
-    if baseline is not None and not _check_baseline(report, baseline,
-                                                   args.tolerance):
-        return 1
+    if baseline is not None:
+        _print_cold_start(report, baseline)
+        if not _check_baseline(report, baseline, args.tolerance):
+            return 1
     print("OK: warm restore beats a cold start")
     return 0
+
+
+def _print_cold_start(report: dict, baseline: dict) -> None:
+    """Print each cold-start phase beside the committed one.
+
+    Informational only (no gate): it shows which phase of a cold
+    start moved when the restore-vs-cold ratio does.
+    """
+    def phases(rep: dict) -> dict:
+        return (rep.get("workloads", {}).get("mixed_50_50", {})
+                .get("cold_start_breakdown", {}))
+
+    fresh, committed = phases(report), phases(baseline)
+    print(f"  {'cold start phase (s)':24s} {'fresh':>9s}  {'committed':>9s}")
+    for phase in [*fresh, *(p for p in committed if p not in fresh)]:
+        cells = [f"{d[phase]:9.4f}" if phase in d else f"{'-':>9s}"
+                 for d in (fresh, committed)]
+        print(f"  {phase:24s} {cells[0]}  {cells[1]}")
 
 
 def _check_baseline(report: dict, baseline: dict, tolerance: float) -> bool:

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro._types import FloatArray, SeedLike
-from repro.core.set_cover import StableSetCover, greedy_cover_size
+from repro.core.set_cover import StableSetCover, greedy_prefix_sizer
 from repro.core.topk import (
     SCORE_TOL,
     ApproxTopKIndex,
@@ -461,18 +461,21 @@ class FDRMS:
     def _initialize(self) -> int:
         """Algorithm 2: binary search ``m`` so the greedy cover has r sets.
 
-        Probe sizes come from :func:`greedy_cover_size` over the raw
+        Probe sizes come from :func:`greedy_prefix_sizer` over the raw
         member-id arrays — the same selection rule as the stateful
-        greedy, without building any Python set/dict state — so only
-        the final chosen ``m`` pays for a full cover construction.
+        greedy, without building any Python set/dict state; the pool's
+        rows are concatenated and ranked once, and each probe slices its
+        prefix — so only the final chosen ``m`` pays for a full cover
+        construction.
         """
-        rows = [self._topk.member_row(u) for u in range(self._m_max)]
+        probe = greedy_prefix_sizer(
+            [self._topk.member_row(u) for u in range(self._m_max)])
         lo, hi = self._r, self._m_max
         chosen_m: int | None = None
         fallback: tuple[int, int] | None = None  # (size distance, m)
         while lo <= hi:
             m = (lo + hi) // 2
-            size = greedy_cover_size(rows[:m])
+            size = probe(m)
             dist = abs(size - self._r)
             if fallback is None or dist < fallback[0] or \
                     (dist == fallback[0] and m > fallback[1]):

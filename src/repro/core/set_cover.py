@@ -70,7 +70,8 @@ pays **one** stabilize pass instead of one per delta.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import (Callable, Iterable, Iterator, Mapping,
+                             Sequence)
 from contextlib import contextmanager
 from typing import Any
 
@@ -89,6 +90,18 @@ _KEY_BITS = 48
 def _level_of(size: int) -> int:
     """Level index ``j`` with ``2^j <= size < 2^{j+1}`` (size >= 1)."""
     return size.bit_length() - 1
+
+
+def _grown_capacity(ids: Int64Array) -> int:
+    """Capacity that ``max(id + 1, 2 * cap, 16)`` growth reaches when
+    ``ids`` arrive in order (only new running maxima can grow it)."""
+    cap = 0
+    if ids.size:
+        run = np.maximum.accumulate(ids)
+        for top in run[np.r_[True, run[1:] > run[:-1]]].tolist():
+            if top >= cap:
+                cap = max(top + 1, 2 * cap, 16)
+    return cap
 
 
 def _check_id(key: Any, kind: str) -> int:
@@ -117,7 +130,7 @@ def _counting_greedy(flat: Int64Array, lens: AnyArray, n_sets: int,
     positive gain remains). Returns the dense selection order; gains are
     maintained with counting updates, so the whole run is
     O(total membership) plus the selection rule's own cost. Both the
-    size-only probe (:func:`greedy_cover_size`) and the stateful build
+    size-only probe (:func:`greedy_prefix_sizer`) and the stateful build
     (:meth:`StableSetCover._select_greedy`) run on this kernel — only
     the selection rule differs.
     """
@@ -155,28 +168,43 @@ def _select_max_gain(gains: AnyArray) -> int:
     return j
 
 
-def greedy_cover_size(elem_rows: Iterable[AnyArray]) -> int:
-    """Solution size of the GREEDY cover over an array set system.
+def greedy_prefix_sizer(elem_rows: Sequence[AnyArray]
+                        ) -> Callable[[int], int]:
+    """Size-only GREEDY over the element prefixes of a set system.
 
     ``elem_rows[e]`` is an integer array of the set ids containing
-    element ``e``. The selection rule is exactly the one of
-    :meth:`StableSetCover.build` — largest current uncovered-gain first,
-    ties toward the smallest set id (``np.unique`` sorts, so the dense
-    argmax tie-break matches the stateful build's) — so the returned
-    size equals ``cover.build(...); cover.solution_size()`` without
-    paying for any membership state. FD-RMS uses this for the
-    Algorithm 2 binary search, where only the size of each probe's
-    cover matters.
+    element ``e``; the returned ``size(m)`` is the solution size of the
+    GREEDY cover of elements ``[0, m)``. The selection rule is exactly
+    the one of :meth:`StableSetCover.build` — largest current
+    uncovered-gain first, ties toward the smallest set id — so
+    ``size(m)`` equals ``cover.build(...); cover.solution_size()`` on
+    that prefix without paying for any membership state. Set ids are
+    ranked once over the whole system (``np.unique`` sorts, so the dense
+    rank is monotone in the id and the dense argmax tie-break matches
+    the stateful build's on every prefix). FD-RMS uses this for the
+    Algorithm 2 binary search, where only each probe's size matters.
     """
-    n_elems = len(elem_rows)
-    if n_elems == 0:
-        return 0
-    lens = np.fromiter((r.shape[0] for r in elem_rows), np.intp, n_elems)
-    if not lens.all():
-        raise ValueError("greedy failed: some element is uncoverable")
-    flat_sids = np.concatenate(elem_rows)
-    sids, dense = np.unique(flat_sids, return_inverse=True)
-    return len(_counting_greedy(dense, lens, sids.size, _select_max_gain))
+    lens = np.fromiter((r.shape[0] for r in elem_rows), np.intp,
+                       len(elem_rows))
+    eptr = np.r_[0, np.cumsum(lens)]
+    flat = np.concatenate(elem_rows) if len(elem_rows) else _EMPTY_IDS
+    sids, dense = np.unique(flat, return_inverse=True)
+
+    def size(m: int) -> int:
+        if m == 0:
+            return 0
+        if not lens[:m].all():
+            raise ValueError("greedy failed: some element is uncoverable")
+        return len(_counting_greedy(dense[:eptr[m]], lens[:m], sids.size,
+                                    _select_max_gain))
+
+    return size
+
+
+def greedy_cover_size(elem_rows: Sequence[AnyArray]) -> int:
+    """Solution size of the GREEDY cover over an array set system
+    (:func:`greedy_prefix_sizer` over all of ``elem_rows``)."""
+    return greedy_prefix_sizer(elem_rows)(len(elem_rows))
 
 
 class _Adjacency:
@@ -385,14 +413,17 @@ class _Adjacency:
         adj._rows = [None] * n
         if track:
             adj._pos = [None] * n
+            # One int object per distinct id, shared by every map that
+            # holds it: ``row.tolist()`` would make one per entry.
+            uniq, inv = np.unique(flat, return_inverse=True)
+            keys = np.array(uniq.tolist(), dtype=object)[inv].tolist()
         pos = 0
         for i in np.flatnonzero(lens).tolist():
             ln = int(lens[i])
-            row = flat[pos:pos + ln]
-            pos += ln
-            adj._rows[i] = row
+            adj._rows[i] = flat[pos:pos + ln]
             if track:
-                adj._pos[i] = {int(v): p for p, v in enumerate(row)}
+                adj._pos[i] = dict(zip(keys[pos:pos + ln], range(ln)))
+            pos += ln
         return adj
 
 
@@ -626,21 +657,53 @@ class StableSetCover:
         freshly built system cannot hold an uncoverable element; that
         invariant is asserted by :meth:`is_cover` (and, transitively, by
         ``FDRMS.verify``) rather than re-checked here.
+
+        The relation is installed as one CSR pair, in the order that
+        adding each (set, element) pair in turn would leave it: a set's
+        member row follows its own iteration order, an element's owner
+        row follows the mapping's key order, a repeated element keeps
+        its first position, and the id-indexed arrays get the capacities
+        that growth by doubling would reach.
         """
         self._reset()
+        sid_list: list[int] = []
+        lens: list[int] = []
+        items: list[Any] = []
         # reprolint: disable=RPL001 -- insertion order IS the canonical build order
-        for sid, elems in membership.items():
-            sid = _check_id(sid, "set")
-            self._ensure_sid(sid)
-            for elem in elems:
-                elem = _check_id(elem, "element")
-                self._ensure_elem(elem)
-                if not self._elem_alive[elem]:
-                    self._elem_alive[elem] = True
-                    self._n_elems += 1
-                if not self._owners.contains(elem, sid):
-                    self._owners.add(elem, sid)
-                    self._members.add(sid, elem)
+        for sid, row in membership.items():
+            sid_list.append(_check_id(sid, "set"))
+            start = len(items)
+            items.extend(row)
+            lens.append(len(items) - start)
+        elems = np.array([_check_id(e, "element") for e in items],
+                         dtype=np.int64)
+        sids = np.array(sid_list, dtype=np.int64)
+        pair_sids = np.repeat(sids, lens)
+        # Element-major, key order within an element; a repeated
+        # (set, element) pair lands next to its first occurrence.
+        by_elem = np.argsort(elems, kind="stable")
+        e_sorted, s_sorted = elems[by_elem], pair_sids[by_elem]
+        keep = np.ones(elems.size, dtype=bool)
+        keep[by_elem[1:]] = ((e_sorted[1:] != e_sorted[:-1])
+                             | (s_sorted[1:] != s_sorted[:-1]))
+        kept_elems, kept_sids = elems[keep], pair_sids[keep]
+        self._owners = _Adjacency.import_rows(
+            np.bincount(kept_elems), pair_sids[by_elem[keep[by_elem]]],
+            track=True)
+        self._members = _Adjacency.import_rows(
+            np.bincount(kept_sids,
+                        minlength=int(sids.max()) + 1 if sids.size else 0),
+            kept_elems[np.argsort(kept_sids, kind="stable")])
+        ecap, scap = _grown_capacity(elems), _grown_capacity(sids)
+        self._elem_alive = np.zeros(ecap, dtype=bool)
+        self._elem_alive[elems] = True
+        self._n_elems = int(self._elem_alive.sum())
+        self._phi = np.full(ecap, -1, dtype=np.int64)
+        self._elem_level = np.full(ecap, -1, dtype=np.int64)
+        self._level = np.full(scap, -1, dtype=np.int64)
+        self._cov_size = np.zeros(scap, dtype=np.int64)
+        self._bucket_counts = np.zeros((8, scap), dtype=np.int64)
+        self._pending_mask = np.zeros((8, scap), dtype=bool)
         self._greedy()
 
     def rebuild(self) -> None:

@@ -108,6 +108,27 @@ def _default_index_factory(ids: IndexArray, points: FloatArray, d: int) -> KDTre
     return KDTree.build(ids, points)
 
 
+def _column_top_k(scores: FloatArray, k: int) -> FloatArray:
+    """The ``k`` largest entries of each column of an ``(n, b)`` block
+    (``n > k``), as ascending ``(b, k)`` rows.
+
+    Partitioning strided columns is slow, so for ``k > 1`` only the
+    entries reaching a lower bound on each column's k-th largest are
+    sorted: the smallest of ``k`` interleaved row-block maxima (``k``
+    distinct entries). The selected multiset is the one a full top-k
+    partition picks, so every sorted row is bitwise identical to it.
+    """
+    if k == 1:
+        return scores.max(axis=0)[:, None]
+    n, b = scores.shape
+    g = n // k
+    low = scores[:g * k].reshape(g, k, b).max(axis=0).min(axis=0)
+    rows, cols = np.nonzero(scores >= low)
+    vals = scores[rows, cols]
+    ends = np.cumsum(np.bincount(cols, minlength=b))
+    return vals[np.lexsort((vals, cols))][ends[:, None] - k + np.arange(k)]
+
+
 def _sub_state(state: dict, prefix: str) -> dict:
     """Strip ``prefix`` from the keys of a composite state dict."""
     n = len(prefix)
@@ -961,11 +982,17 @@ class ApproxTopKIndex:
     def _bootstrap(self, ids: IndexArray, pts: FloatArray) -> None:
         """Vectorized initial computation of every ``Φ_{k,ε}``.
 
-        One GEMM + one partition per utility chunk produce scores,
-        thresholds, and the ``(M, k)`` top-score matrix; memberships are
-        extracted with a single boolean scatter per chunk and installed
-        as array slices — no per-member Python loop. The inverted index
-        is assembled once at the end from the flat (pid, utility) pairs.
+        One GEMM per utility chunk scores it as an ``(n, b)`` block;
+        :func:`_column_top_k` gives thresholds and the ``(M, k)``
+        top-score matrix. Memberships come from one row-major
+        ``nonzero`` per chunk, regrouped utility-major by a stable sort
+        of the (few) hits, and are installed as array slices — no
+        per-member Python loop. The inverted index is assembled once at
+        the end from the flat (pid, utility) pairs.
+
+        The block stays ``pts @ block.T``: BLAS picks its edge kernels
+        by output layout, so ``block @ pts.T`` differs from it in the
+        last ulp for some chunk widths, and member scores are digested.
         """
         n = ids.shape[0]
         m_total, k, store = self._m_total, self._k, self._store
@@ -986,19 +1013,16 @@ class ApproxTopKIndex:
                     topk_rows = np.full((b, k), -np.inf)
                     topk_rows[:, k - n:] = np.sort(scores, axis=0).T
                 else:
-                    part = np.partition(scores, range(n - k, n), axis=0)
-                    topk_rows = part[n - k:].T  # (b, k) ascending
+                    topk_rows = _column_top_k(scores, k)
                     taus = (1.0 - self._eps) * topk_rows[:, 0]
                 t1 = time.perf_counter()
-                # Column-major membership extraction: one boolean gather
-                # yields every utility's members (ascending row order,
-                # matching the legacy per-column fill).
-                hits = scores.T >= taus[:, None]  # (b, n)
-                counts = hits.sum(axis=1)
-                bounds = np.r_[0, np.cumsum(counts)]
-                cols, rows = np.nonzero(hits)
+                rows, cols = np.nonzero(scores >= taus)
+                # Stable by utility: pids stay ascending within each.
+                order = np.argsort(cols, kind="stable")
+                rows, cols = rows[order], cols[order]
+                bounds = np.r_[0, np.cumsum(np.bincount(cols, minlength=b))]
                 member_pids = ids[rows]
-                member_scores = scores.T[hits]
+                member_scores = scores[rows, cols]
                 if member_scores.size:
                     mins = np.minimum.reduceat(member_scores, bounds[:-1])
                 else:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.set_cover import StableSetCover, _level_of
+from repro.core.set_cover import StableSetCover, _check_id, _level_of
 from repro.geometry.lp import min_size_cover_lp_bound
 
 
@@ -252,3 +252,115 @@ def test_random_operation_stream_property(seed, n_ops):
                 cover.remove_from_set(e, owners[int(rng.integers(len(owners)))])
         assert cover.is_cover()
         assert cover.is_stable()
+
+
+def _build_per_pair(cover: StableSetCover, membership) -> None:
+    """Reference install: every (set, element) pair added one at a time,
+    the way :meth:`StableSetCover.build` installed the relation before
+    it became one CSR install."""
+    cover._reset()
+    for sid, elems in membership.items():
+        sid = _check_id(sid, "set")
+        cover._ensure_sid(sid)
+        for elem in elems:
+            elem = _check_id(elem, "element")
+            cover._ensure_elem(elem)
+            if not cover._elem_alive[elem]:
+                cover._elem_alive[elem] = True
+                cover._n_elems += 1
+            if not cover._owners.contains(elem, sid):
+                cover._owners.add(elem, sid)
+                cover._members.add(sid, elem)
+    cover._greedy()
+
+
+def _assert_identical(got: StableSetCover, want: StableSetCover) -> None:
+    got_state, want_state = got.export_state(), want.export_state()
+    assert got_state.keys() == want_state.keys()
+    for key, arr in want_state.items():
+        assert got_state[key].dtype == arr.dtype, key
+        assert got_state[key].shape == arr.shape, key
+        assert np.array_equal(got_state[key], arr), key
+    got_arrays = list(got.logical_arrays())
+    want_arrays = list(want.logical_arrays())
+    assert [name for name, _ in got_arrays] == [n for n, _ in want_arrays]
+    for (name, arr), (_, ref) in zip(got_arrays, want_arrays):
+        assert np.asarray(arr).shape == np.asarray(ref).shape, name
+        assert np.array_equal(arr, ref), name
+    assert got._bucket_counts.shape == want._bucket_counts.shape
+    assert np.array_equal(got._bucket_counts, want._bucket_counts)
+    assert got._pending_mask.shape == want._pending_mask.shape
+
+
+def _shuffled_system(rng, n_elems, n_sets, id_scale):
+    """Random set system with scattered ids, shuffled key order and
+    list values (duplicates included); some sets are empty."""
+    sids = rng.choice(n_sets * id_scale, size=n_sets, replace=False)
+    elems = rng.choice(n_elems * id_scale, size=n_elems, replace=False)
+    membership = {int(s): [] for s in sids}
+    keys = list(membership)
+    for e in elems.tolist():
+        for s in rng.choice(keys, size=int(rng.integers(1, 4))).tolist():
+            membership[s].append(e)
+    for s in keys[:3]:
+        membership[s].extend(membership[s][:2])  # repeated elements
+    membership[keys[-1]] = []
+    return membership
+
+
+class TestBulkBuildParity:
+    """The CSR build leaves exactly the state the per-pair install did."""
+
+    def test_unordered_set_iteration(self):
+        elems = {5, 1000}
+        assert list(elems) != sorted(elems)  # the case under test
+        membership = {7: elems, 3: {1000, 2}, 12: {5}}
+        got, want = StableSetCover(), StableSetCover()
+        got.build(membership)
+        _build_per_pair(want, membership)
+        _assert_identical(got, want)
+        assert got._members.row(7).tolist() == list(elems)
+
+    def test_capacity_doublings(self):
+        # Set ids arrive as 3, 20, 7, 100, 40, 300, 2: the 16-slot
+        # floor, a doubling (20 -> 32 slots) and two id-sized jumps.
+        membership = {3: {0, 17}, 20: {40, 2}, 7: {100}, 100: {33, 600},
+                      40: {5000}, 300: {1, 2, 3}, 2: {999, 64}}
+        got, want = StableSetCover(), StableSetCover()
+        got.build(membership)
+        _build_per_pair(want, membership)
+        _assert_identical(got, want)
+        assert got._level.shape[0] == 301  # 16 -> 32 -> 101 -> 301
+        assert got._phi.shape[0] == 5001
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_systems_then_dynamic_ops(self, seed):
+        rng = np.random.default_rng(seed)
+        membership = _shuffled_system(rng, 60, 25, id_scale=1 + seed * 7)
+        got, want = StableSetCover(), StableSetCover()
+        got.build(membership)
+        _build_per_pair(want, membership)
+        _assert_identical(got, want)
+        # Rows installed as views of one CSR array must grow and
+        # shrink exactly like rows grown pair by pair.
+        sids = sorted(membership)
+        fresh = 10 ** 4 + seed
+        for cover in (got, want):
+            cover.add_element(fresh, sids[:3])
+            cover.add_to_set(fresh, sids[4])
+            for e in list(cover.members(sids[1]))[:3]:
+                if len(cover.sets_of(e)) > 1:
+                    cover.remove_from_set(e, sids[1])
+            cover.remove_element(fresh)
+        _assert_identical(got, want)
+
+    def test_invalid_ids_rejected(self):
+        cover = StableSetCover()
+        with pytest.raises(TypeError):
+            cover.build({0: [1, "x"]})
+        with pytest.raises(TypeError):
+            cover.build({0: [True]})
+        with pytest.raises(ValueError):
+            cover.build({0: [1, -2]})
+        cover.build({np.int64(4): np.array([3, 1])})
+        assert cover.members(4) == frozenset({1, 3})

@@ -70,6 +70,60 @@ class TestBootstrap:
         for i in range(index.pool_size):
             assert index.members_of(i) == whole.members_of(i)
 
+    @pytest.mark.parametrize("n, d, k, chunk_elems, copies", [
+        (300, 2, 1, 300 * 13, 1),   # 13-utility chunks: 4 chunks of M=40
+        (300, 2, 3, 300 * 13, 1),
+        (300, 2, 3, 300 * 13, 3),   # every tuple thrice: tied top-k
+        (300, 4, 1, 300 * 7, 1),
+        (301, 4, 3, 301 * 7, 1),    # n not a multiple of k
+        (3, 3, 5, 3 * 4, 1),        # n <= k: every tuple joins, tau = 0
+    ])
+    def test_bootstrap_matches_column_partition_bitwise(
+            self, monkeypatch, n, d, k, chunk_elems, copies):
+        # The scores, top-k rows and thresholds the bootstrap stores are
+        # digested, so they must equal the (n, b) GEMM plus a full top-k
+        # partition down each column, bit for bit, across chunk seams.
+        # At d=2 and 13-wide chunks a (b, n) GEMM differs from it in the
+        # last ulp with OpenBLAS's Haswell kernels, which this catches.
+        monkeypatch.setattr(topk_mod, "BOOTSTRAP_CHUNK_ELEMS", chunk_elems)
+        m, eps = 40, 0.05
+        base = np.random.default_rng(n + d + k).random((n, d))
+        pts0 = np.repeat(base, copies, axis=0)[:n]
+        db, index = make_index(pts0, m=m, k=k, eps=eps)
+        ids, pts = db.snapshot()
+        u = np.ascontiguousarray(
+            sample_utilities_with_basis(m, d, seed=0), dtype=np.float64)
+        chunk = max(1, chunk_elems // n)
+        assert m > 2 * chunk  # at least three chunks
+        topk = np.full((m, k), -np.inf)
+        taus = np.zeros(m)
+        rows = []
+        for start in range(0, m, chunk):
+            scores = pts @ u[start:start + chunk].T  # (n, b)
+            b = scores.shape[1]
+            if n <= k:
+                topk[start:start + b, k - n:] = np.sort(scores, axis=0).T
+            else:
+                part = np.partition(scores, range(n - k, n), axis=0)
+                topk[start:start + b] = part[n - k:].T
+                taus[start:start + b] = (1.0 - eps) * part[n - k]
+            for col in range(b):
+                hit = scores[:, col] >= taus[start + col]
+                rows.append((ids[hit], scores[hit, col]))
+        store = index._store
+        for i, (want_ids, want_scores) in enumerate(rows):
+            got_ids, got_scores = store.row(i)
+            assert np.array_equal(got_ids, want_ids), i
+            assert np.array_equal(got_scores, want_scores), i
+            want_min = want_scores.min() if want_scores.size else np.inf
+            assert store._min[i] == want_min, i
+        assert np.array_equal(store._topk, topk)
+        assert np.array_equal(index._tau, taus)
+        for pid in ids.tolist():
+            owners = [i for i, (row_ids, _) in enumerate(rows)
+                      if pid in row_ids]
+            assert store.owners(pid).tolist() == owners, pid
+
     def test_small_db_all_members(self, rng):
         pts = rng.random((3, 3))
         db, index = make_index(pts, k=5)
