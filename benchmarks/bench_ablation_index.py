@@ -2,7 +2,8 @@
 
 FD-RMS prunes top-k maintenance with the threshold vector (insertions:
 only utilities with ``<u_i, p> >= τ_i`` are touched) and the ``S(p)``
-inverted index + k-d tree (deletions). The ablation measures
+inverted index (deletions: only the utilities that lost a top-k tuple
+are rescanned). The ablation measures
 the naive alternative: refresh every utility's approximate top-k by a
 full scan on every update.
 

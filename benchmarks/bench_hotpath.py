@@ -8,8 +8,8 @@ stream):
 * ``flat batched``    — the engine through ``apply_batch``.
 
 Both must reach the same result. It also times a warm checkpoint
-restore against a cold start, and (full run only) raw tuple-index
-query throughput (``top_k`` / ``range_query`` over the live tuple set).
+restore against a cold start. The full run adds the paper's §IV-A
+workload at half the dataset size.
 
 Results go to stdout and to a ``BENCH_hotpath.json`` trajectory at the
 repo root. The process exits non-zero when a warm restore is slower
@@ -41,7 +41,6 @@ from repro.data.workload import (
     make_paper_workload,
     make_skewed_workload,
 )
-from repro.index.kdtree import KDTree
 from repro.persist.atomic import write_json_atomic
 from repro.persist.checkpoint import load_checkpoint, save_checkpoint
 
@@ -139,29 +138,6 @@ def _bench_restore(engine: FDRMS, cold_init_seconds: float) -> dict:
     return out
 
 
-def _bench_queries(n: int, d: int, n_queries: int) -> dict:
-    """Raw top-k / range query throughput of the tuple index."""
-    rng = np.random.default_rng(17)
-    pts = rng.random((n, d))
-    us = rng.random((n_queries, d))
-    taus = [float(np.quantile(pts @ u, 0.999)) for u in us]
-    out: dict = {"n": n, "d": d, "n_queries": n_queries}
-    tree = KDTree.build(range(n), pts)
-    t0 = time.perf_counter()
-    for u in us:
-        tree.top_k(u, 10)
-    topk_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for u, tau in zip(us, taus):
-        tree.range_query(u, tau)
-    range_s = time.perf_counter() - t0
-    out["flat"] = {"topk_ms": round(1e3 * topk_s / n_queries, 3),
-                   "range_ms": round(1e3 * range_s / n_queries, 3)}
-    print(f"flat index: top_k {1e3 * topk_s / n_queries:6.2f} ms/q, "
-          f"range {1e3 * range_s / n_queries:6.2f} ms/q  (n={n})")
-    return out
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
@@ -228,8 +204,6 @@ def main(argv=None) -> int:
         report["workloads"]["paper_iv_a"], _ = _bench_workload(
             "paper §IV-A (insert phase, then delete phase)",
             paper.initial, paper.operations)
-        print("\n--- index query throughput ---")
-        report["queries"] = _bench_queries(args.n, args.d, n_queries=30)
 
     write_json_atomic(args.out, report)
     print(f"\nwrote {args.out}")

@@ -7,8 +7,8 @@ component profiler, at two values of m (the cover share should grow
 with m).
 
 It also breaks down the **cold start** (engine build) into its phases —
-bootstrap GEMM + partition, tuple-index build, membership fill, set-cover
-greedy, and the dynamic-skyline build the recompute wrapper pays — the
+bootstrap GEMM + top-k selection, membership fill, set-cover greedy,
+and the dynamic-skyline build the recompute wrapper pays — the
 same numbers ``bench_hotpath`` publishes to ``BENCH_hotpath.json``.
 """
 
@@ -88,8 +88,8 @@ def test_profile_cold_start(benchmark):
               for k, v in phases.items()]
     emit("profile_cold_start", "\n".join(lines))
     # Every phase must be present and account for most of the build.
-    for key in ("kdtree_build", "bootstrap_gemm",
-                "membership_fill", "cover_greedy", "skyline_init"):
+    for key in ("bootstrap_gemm", "membership_fill", "cover_greedy",
+                "skyline_init"):
         assert key in phases and phases[key] >= 0.0
     covered = sum(fd.init_profile.values())
     assert covered <= fd.init_seconds * 1.05

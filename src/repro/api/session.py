@@ -295,7 +295,7 @@ class FDRMSSession(Session):
                                 seed=seed)
             self.init_seconds = time.perf_counter() - start
             #: Cold-start phase breakdown (seconds) from the engine:
-            #: tree builds, bootstrap GEMM, membership fill, set-cover
+            #: utility sample, bootstrap GEMM, membership fill, set-cover
             #: greedy — or {"restore": seconds} on a warm restore.
             self.init_profile = dict(self.engine.init_profile)
         if wal is not None:
@@ -379,10 +379,10 @@ class FDRMSSession(Session):
     def apply_batch(self, ops: Iterable[Operation]) -> list[int | None]:
         """Batched updates through :meth:`FDRMS.apply_batch`.
 
-        Consecutive insertions are scored with one ``(batch × M)`` GEMM
-        and bulk-loaded into the flat tuple index; consecutive
-        deletions are bulk-removed with tombstoned tuple-index repairs;
-        the maintained result is identical to applying the operations
+        Consecutive insertions are bulk-loaded into the database and
+        scored with one ``(batch × M)`` GEMM; consecutive deletions are
+        bulk-removed, with each top-k repair one scan of the alive set
+        as of its operation; the maintained result is identical to applying the operations
         one by one.
 
         Validation precedes the write-ahead log append: a rejected wave

@@ -2,7 +2,7 @@
 
 Breaks the per-operation cost of FD-RMS into its §III components:
 
-* ``topk``  — ε-approximate top-k maintenance (dual-tree work),
+* ``topk``  — ε-approximate top-k maintenance (threshold filter and repair scans),
 * ``cover`` — stable set-cover maintenance (Algorithm 1 operations),
 
 by wrapping the two subsystem objects in transparent timing proxies.

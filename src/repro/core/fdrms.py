@@ -166,7 +166,7 @@ class FDRMS:
         ``config`` is JSON-able (scalars + counters) and travels in the
         checkpoint manifest; ``arrays`` is a flat name → ndarray mapping
         ready for ``np.savez``. Together they are sufficient to rebuild
-        an engine that is *physically* identical — same tree layout,
+        an engine that is *physically* identical — same member-row order,
         free-list order, adjacency order — so every future operation
         takes exactly the same path as in the exported instance.
         """
@@ -220,8 +220,8 @@ class FDRMS:
 
         Hashes only observable state — alive tuples, member rows in
         arrival order, thresholds, the cover assignment, counters —
-        never physical layout (tree shape, array capacities, free-list
-        or adjacency order). A restored engine digests identically to
+        never physical layout (array capacities, free-list or adjacency
+        order). A restored engine digests identically to
         the one that was saved; this is the parity check behind crash
         recovery. Batched and sequential runs of the same operations do
         *not* in general: they agree on ids, cover and results, but the
@@ -285,10 +285,9 @@ class FDRMS:
         :meth:`insert` / :meth:`delete` in order — same final result,
         same statistics — but runs of same-kind operations flow through
         the top-k maintainer's batched cursors: insert runs bulk-load
-        the database and tuple index and score the whole run with one
-        ``(batch × M)`` GEMM; delete runs bulk-remove the victims and
-        stage tuple-index tombstones, repairing top-k sets in
-        vectorized waves. The membership deltas are still materialized
+        the database and score the whole run with one ``(batch × M)``
+        GEMM; delete runs bulk-remove the victims and repair top-k sets
+        with one GEMM scan per operation. The membership deltas are still materialized
         per operation and fed to the set-cover layer in arrival order
         (the stable cover is history-dependent, so coalescing across
         operations would change the result).

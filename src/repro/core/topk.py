@@ -2,17 +2,21 @@
 
 For each sampled utility ``u_i``, FD-RMS tracks the set of tuples whose
 score is at least ``τ_i = (1 - ε) · ω_k(u_i, P_t)`` (§II-A). This module
-keeps those sets current across tuple insertions and deletions using two
-structures:
+keeps those sets current across tuple insertions and deletions with no
+spatial index at all:
 
-* the **k-d tree** (tuple index) answers exact top-k and score-range
-  queries against the live database;
 * the **threshold vector** ``τ`` (one float per utility) finds, for an
   inserted tuple, the utilities whose threshold the tuple reaches — all
   others are untouched. The paper's §III-C uses a cone tree here; every
   insertion already scores the tuple against all ``M`` utilities with
   one mat-vec, so one vector comparison ``U·p >= τ`` gives the same set
-  at a fraction of the cost of a tree walk.
+  at a fraction of the cost of a tree walk;
+* a **repair scan** rebuilds the sets a deletion cost a top-k tuple:
+  the alive points are scored against every affected utility with
+  chunked GEMMs. §III-C answers these top-k and range queries with a tuple index
+  (any space-partitioning tree); a k-d tree lost to the scan at every
+  database size the service and the paper's figures use
+  (docs/ARCHITECTURE.md), so there is none.
 
 Membership invariant, for every utility ``i`` and time ``t``::
 
@@ -45,7 +49,7 @@ per-operation order of the original per-member implementation.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -54,7 +58,6 @@ from numpy.typing import ArrayLike, NDArray
 
 from repro._types import AnyArray, FloatArray, IndexArray
 from repro.data.database import INSERT, Database, iter_op_runs
-from repro.index.kdtree import KDTree
 from repro.utils import check_epsilon, check_k
 
 ADD = "+"
@@ -67,30 +70,15 @@ REMOVE_CODE = -1
 
 #: Score-threshold tolerance shared by membership updates and the audit
 #: paths (``ApproxTopKIndex`` internals, ``FDRMS.verify``). Scores are
-#: computed by different BLAS kernels along different code paths (bulk
-#: GEMM at bootstrap, gathered mat-vec in tree queries, per-row dots in
-#: single-op updates), which may disagree in the last ulp; comparisons
-#: against a threshold therefore allow this absolute slack instead of
-#: hardcoding ``1e-12`` at each site.
+#: computed by different BLAS kernels along different code paths (GEMM
+#: blocks at bootstrap, in repair scans and for batched inserts, a
+#: mat-vec for a single-op insert), which may disagree in the last ulp;
+#: comparisons against a threshold therefore allow this absolute slack
+#: instead of hardcoding ``1e-12`` at each site.
 SCORE_TOL = 1e-12
 
 _EMPTY_IDS = np.empty(0, dtype=np.intp)
 _EMPTY_SCORES = np.empty(0, dtype=np.float64)
-
-#: Tuple-index staging threshold. Insertions never query the tuple
-#: index, so freshly inserted points are *staged* and flushed into the
-#: tree in bulk (one vectorized wave load) once this many accumulate —
-#: or earlier, the moment a tree query is needed. Deletions are staged
-#: symmetrically as *tombstones* and applied with one bulk
-#: ``delete_many`` wave. Per-point descent costs then amortize even
-#: when runs are short.
-_STAGE_LIMIT = 512
-
-#: Database size up to which top-k set repairs skip the tuple index
-#: entirely: one gather of the alive points plus one ``(n × q)`` GEMM
-#: across all q affected utilities replaces q tree descents. Above the
-#: limit the tree's pruning wins and the per-utility query path is used.
-_BRUTE_REPAIR_LIMIT = 16384
 
 #: Elements per bootstrap GEMM chunk (``ELEMS // n`` utilities each).
 #: Chunk boundaries depend only on ``n``, and BLAS is bitwise
@@ -98,14 +86,13 @@ _BRUTE_REPAIR_LIMIT = 16384
 #: the determinism contract: changing it moves bootstrap digests.
 BOOTSTRAP_CHUNK_ELEMS = 4_000_000
 
-_MISSING = object()
-
-
-def _default_index_factory(ids: IndexArray, points: FloatArray, d: int) -> KDTree:
-    """The default tuple index: a k-d tree (possibly empty)."""
-    if len(ids) == 0:
-        return KDTree(d)
-    return KDTree.build(ids, points)
+#: Elements per repair GEMM chunk (``ELEMS // n`` utilities each). A
+#: deletion can cost hundreds of utilities a top-k tuple, so chunking
+#: caps the transient ``(n × q)`` score block at 8 MB; an unchunked
+#: block at n = 50k raised a served engine's peak memory by over 100 MB.
+#: As with :data:`BOOTSTRAP_CHUNK_ELEMS`, the boundaries depend only on
+#: ``n``, and changing the constant moves digests in the last ulp.
+REPAIR_CHUNK_ELEMS = 1_000_000
 
 
 def _column_top_k(scores: FloatArray, k: int) -> FloatArray:
@@ -636,22 +623,16 @@ class ApproxTopKIndex:
         Rank parameter of the k-RMS query.
     eps : float
         Approximation factor ε of the top-k sets.
-    index_factory : callable(ids, points, d) -> tuple index, optional
-        Builds the tuple index TI. The default is the k-d tree; §III-C
-        allows any space-partitioning index with the same interface
-        (``insert`` / ``delete`` / ``top_k`` / ``range_query``), e.g.
-        :class:`repro.index.quadtree.QuadTree`.
 
     Attributes
     ----------
     build_profile : dict[str, float]
-        Cold-start phase breakdown in seconds (tree build, bootstrap
-        GEMM + partition, membership fill).
+        Cold-start phase breakdown in seconds (bootstrap GEMM + top-k
+        selection, membership fill).
     """
 
-    def __init__(self, db: Database, utilities: ArrayLike, k: int, eps: float, *,
-                 index_factory: Callable[[IndexArray, FloatArray, int], Any]
-                 | None = None) -> None:
+    def __init__(self, db: Database, utilities: ArrayLike, k: int,
+                 eps: float) -> None:
         self._db = db
         self._u = np.ascontiguousarray(utilities, dtype=np.float64)
         if self._u.ndim != 2 or self._u.shape[1] != db.d:
@@ -661,18 +642,7 @@ class ApproxTopKIndex:
         self._eps = check_epsilon(eps)
         self._store = MemberStore(self._m_total, self._k)
         self.build_profile: dict[str, float] = {}
-        ids, pts = db.snapshot()
-        if index_factory is None:
-            index_factory = _default_index_factory
-        t0 = time.perf_counter()
-        self._kdtree = index_factory(ids, pts, db.d)
-        # Staged (pid -> point) insertions not yet in the tuple index,
-        # and staged deletions (tombstones) not yet removed from it;
-        # see _stage_point / _flush_staged.
-        self._staged: dict[int, FloatArray] = {}
-        self._tombstones: list[int] = []
-        self.build_profile["kdtree_build"] = time.perf_counter() - t0
-        self._bootstrap(ids, pts)
+        self._bootstrap(*db.snapshot())
 
     # ------------------------------------------------------------------
     # Read access
@@ -730,7 +700,6 @@ class ApproxTopKIndex:
         """:meth:`insert` returning the raw :class:`DeltaLog` (hot path)."""
         pid = self._db.insert(point)
         vec = self._db.point(pid)
-        self._stage_point(pid, vec)
         log = DeltaLog()
         n = len(self._db)
         row = self._u @ vec
@@ -747,14 +716,13 @@ class ApproxTopKIndex:
     def begin_insert_run(self, points: ArrayLike) -> "_InsertRun":
         """Start a batched run of consecutive insertions.
 
-        All tuples are stored in the database and the tuple index up
-        front (insertions never query the tuple index, so bulk loading
-        is safe), and the whole ``(batch × M)`` score matrix is computed
-        with one GEMM. The returned cursor's :meth:`_InsertRun.step`
-        then replays the *membership* maintenance one operation at a
-        time — in arrival order, against per-op thresholds — so the
-        deltas it yields are exactly the sequential ones, computed
-        without any per-tuple tree traversal.
+        All tuples are stored in the database up front (insertions
+        never read the other alive tuples, so bulk loading is safe), and
+        the whole ``(batch × M)`` score matrix is computed with one
+        GEMM. The returned cursor's :meth:`_InsertRun.step` then replays
+        the *membership* maintenance one operation at a time — in
+        arrival order, against per-op thresholds — so the deltas it
+        yields are exactly the sequential ones.
         """
         return _InsertRun(self, points)
 
@@ -762,12 +730,11 @@ class ApproxTopKIndex:
         """Start a batched run of consecutive deletions.
 
         All victims are removed from the database up front with one
-        ``delete_many`` (the cursor keeps a pre-batch snapshot so each
-        step still repairs against the alive set *as of its turn*), and
-        tuple-index removals are staged as tombstones flushed in bulk
-        waves. The returned cursor's :meth:`_DeleteRun.step` replays
-        the membership maintenance one operation at a time, so the
-        delta stream is exactly the sequential one.
+        ``delete_many``; the cursor keeps their values, so each step's
+        repair scan still sees the alive set *as of its turn*. The
+        returned cursor's :meth:`_DeleteRun.step` replays the
+        membership maintenance one operation at a time, so the delta
+        stream is exactly the sequential one.
         """
         return _DeleteRun(self, tuple_ids)
 
@@ -779,8 +746,8 @@ class ApproxTopKIndex:
         Runs of consecutive insertions go through
         :meth:`begin_insert_run` (one GEMM instead of one mat-vec per
         tuple); runs of consecutive deletions go through
-        :meth:`begin_delete_run` (one bulk database removal, tombstoned
-        tuple-index removals, shared repair snapshots). The id is the
+        :meth:`begin_delete_run` (one bulk database removal, repair
+        scans over a reconstructed snapshot). The id is the
         inserted tuple's id for insertions, ``None`` for deletions.
         """
         out: list[tuple[int | None, list[MembershipDelta]]] = []
@@ -801,23 +768,15 @@ class ApproxTopKIndex:
 
         Only utilities whose approximate top-k holds the tuple are
         touched (found via the inverted index ``S(p)``). When the tuple
-        was among the exact top-k of a utility, the k-d tree recomputes
-        ``ω_k`` and a range query rebuilds the member set.
+        was among the exact top-k of a utility, one scan of the alive
+        tuples recomputes ``ω_k`` and rebuilds the member set.
         """
         return self.delete_log(tuple_id).to_deltas()
 
     def delete_log(self, tuple_id: int) -> DeltaLog:
         """:meth:`delete` returning the raw :class:`DeltaLog` (hot path)."""
         self._db.delete(tuple_id)
-        self._stage_tombstone(int(tuple_id))
         return self._delete_core(int(tuple_id), len(self._db), None)
-
-    def _stage_tombstone(self, tuple_id: int) -> None:
-        """Buffer one tuple-index removal (flush when the wave fills)."""
-        if self._staged.pop(tuple_id, _MISSING) is _MISSING:
-            self._tombstones.append(tuple_id)
-            if len(self._tombstones) >= _STAGE_LIMIT:
-                self._flush_staged()
 
     def _delete_core(self, tuple_id: int, n_db: int,
                      run: "_DeleteRun | None") -> DeltaLog:
@@ -866,66 +825,18 @@ class ApproxTopKIndex:
         return log
 
     # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _stage_point(self, pid: int, vec: FloatArray) -> None:
-        """Buffer one insertion for the tuple index (flush when full)."""
-        self._staged[pid] = vec
-        if len(self._staged) >= _STAGE_LIMIT:
-            self._flush_staged()
-
-    def _flush_staged(self) -> None:
-        """Sync the tuple index: staged insertions, then tombstones.
-
-        A pid is never in both buffers (deleting a staged pid cancels
-        the staging instead of tombstoning), so the two bulk waves
-        commute with the per-op order they replace.
-        """
-        staged = self._staged
-        if staged:
-            ids = np.fromiter(staged.keys(), dtype=np.intp,
-                              count=len(staged))
-            # reprolint: disable=RPL001 -- staging dict order is op order (aligned)
-            pts = np.asarray(list(staged.values()), dtype=np.float64)
-            staged.clear()
-            bulk = getattr(self._kdtree, "insert_many", None)
-            if bulk is not None:
-                bulk(ids, pts)
-            else:  # alternate tuple indexes (e.g. the quadtree)
-                for pid, vec in zip(ids.tolist(), pts):
-                    self._kdtree.insert(pid, vec)
-        if self._tombstones:
-            victims = self._tombstones
-            self._tombstones = []
-            bulk_del = getattr(self._kdtree, "delete_many", None)
-            if bulk_del is not None:
-                bulk_del(victims)
-            else:  # alternate tuple indexes (e.g. the quadtree)
-                for pid in victims:
-                    self._kdtree.delete(pid)
-
-    # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
     def export_state(self) -> dict:
         """Flat-array snapshot of the index (checkpointing).
-
-        Staged tuple-index work is flushed first — the staging buffers
-        are a pure physical optimization, so an empty-buffer snapshot is
-        logically identical and restore starts clean. Only the default
-        tuple index serializes; custom factories have no schema.
 
         The thresholds are stored under ``cone_tau``/``cone_active``
         (named for the cone tree that once held them) so checkpoints
         stay byte-compatible across that change; the active mask is
         ``isfinite(tau)``.
         """
-        if type(self._kdtree) is not KDTree:
-            raise TypeError("only the default KDTree index is serializable")
-        self._flush_staged()
         state = {"u": self._u.copy()}
-        for prefix, sub in (("kd_", self._kdtree.export_state()),
-                            ("cone_", {"tau": self._tau.copy(),
+        for prefix, sub in (("cone_", {"tau": self._tau.copy(),
                                        "active": np.isfinite(self._tau)}),
                             ("ms_", self._store.export_state())):
             # reprolint: disable=RPL001 -- key relabeling; read by name
@@ -936,7 +847,12 @@ class ApproxTopKIndex:
     @classmethod
     def from_state(cls, state, db: Database, k: int, eps: float
                    ) -> "ApproxTopKIndex":
-        """Rebuild an index from :meth:`export_state` arrays."""
+        """Rebuild an index from :meth:`export_state` arrays.
+
+        ``kd_*`` arrays (the k-d tree that checkpoints written before
+        4.0.0 carry) are ignored: the tree was derived from the
+        database.
+        """
         self = object.__new__(cls)
         self._db = db
         self._u = np.ascontiguousarray(state["u"], dtype=np.float64).copy()
@@ -948,9 +864,6 @@ class ApproxTopKIndex:
         self._eps = check_epsilon(eps)
         self._store = MemberStore.from_state(
             _sub_state(state, "ms_"), self._m_total, self._k)
-        self._kdtree = KDTree.from_state(_sub_state(state, "kd_"))
-        self._staged = {}
-        self._tombstones = []
         tau = np.asarray(state["cone_tau"], dtype=np.float64)
         active = np.asarray(state["cone_active"], dtype=bool)
         if tau.shape != (self._m_total,) or active.shape != (self._m_total,):
@@ -966,11 +879,10 @@ class ApproxTopKIndex:
 
         Feeds the engine state digest: utilities, member rows in arrival
         order, the threshold/active vectors. Derived structures (top-k
-        matrix, running mins, inverted index, tree layout) are functions
-        of these and the database, so they are deliberately excluded —
-        the digest must be invariant to physical layout.
+        matrix, running mins, inverted index) are functions of these and
+        the database, so they are deliberately excluded — the digest
+        must be invariant to physical layout.
         """
-        self._flush_staged()
         yield "u", self._u
         ms = self._store.export_state()
         yield "member_len", ms["row_len"]
@@ -1102,48 +1014,36 @@ class ApproxTopKIndex:
         """Fresh ``(τ, member ids, member scores)`` per utility in ``idxs``.
 
         All repairs see the same post-deletion database state, so they
-        are computed in one wave. Below :data:`_BRUTE_REPAIR_LIMIT` the
-        alive points are gathered once and scored against every
-        affected utility with a single GEMM — no tuple-index descent at
-        all; above it, each utility pays one pruned ``top_k`` plus one
-        ``range_query`` against the (bulk-synced) tree. Member lists
-        come back descending by score, ties toward the smaller id —
-        the tuple index's output order.
+        are computed in one wave: the alive points are gathered once and
+        scored against the affected utilities with ``(n × q)`` GEMMs of
+        at most :data:`REPAIR_CHUNK_ELEMS` scores each, whose columns
+        :func:`_column_top_k` ranks all at once. Member lists come back
+        descending by score, ties toward the smaller id.
         """
         if n_db == 0:
-            return [None] * len(idxs)
-        if n_db <= _BRUTE_REPAIR_LIMIT:
-            if run is not None:
-                ids, pts = run.alive_snapshot()
-            else:
-                ids, pts = self._db.snapshot()
-            scores = pts @ self._u[idxs].T  # (n, q): the repair wave
-            out = []
-            # reprolint: disable=RPL004 -- one pass per repaired utility (q small);
-            for col in range(idxs.shape[0]):
-                s = scores[:, col]
-                if n_db <= self._k:
-                    tau = 0.0
-                else:
-                    kth = np.partition(s, n_db - self._k)[n_db - self._k]
-                    tau = (1.0 - self._eps) * float(kth)
-                hit = s >= tau
-                hit_ids, hit_scores = ids[hit], s[hit]
-                order = np.lexsort((hit_ids, -hit_scores))
-                out.append((tau, hit_ids[order], hit_scores[order]))
-            return out
-        self._flush_staged()  # the queries below must see every tuple
-        out = []
-        for i in idxs.tolist():
-            u = self._u[i]
+            return [None] * idxs.shape[0]
+        if run is not None:
+            ids, pts = run.alive_snapshot()
+        else:
+            ids, pts = self._db.snapshot()
+        out: list[tuple[float, IndexArray, FloatArray] | None] = []
+        chunk = max(1, REPAIR_CHUNK_ELEMS // n_db)
+        for start in range(0, idxs.shape[0], chunk):
+            scores = pts @ self._u[idxs[start:start + chunk]].T  # (n, q)
+            q = scores.shape[1]
             if n_db <= self._k:
-                tau = 0.0
+                # reprolint: disable=RPL008 -- per repair chunk, not per op
+                taus = np.zeros(q)
             else:
-                _, topk_scores = self._kdtree.top_k(u, self._k)
-                tau = (1.0 - self._eps) * float(topk_scores[-1])
-            fresh_ids, fresh_scores = self._kdtree.range_query(u, tau)
-            out.append((tau, np.asarray(fresh_ids, dtype=np.intp),
-                        np.asarray(fresh_scores)))
+                taus = (1.0 - self._eps) * _column_top_k(scores, self._k)[:, 0]
+            rows, cols = np.nonzero(scores >= taus)
+            hit_scores = scores[rows, cols]
+            hit_ids = ids[rows]
+            order = np.lexsort((hit_ids, -hit_scores, cols))
+            hit_ids, hit_scores = hit_ids[order], hit_scores[order]
+            ends = np.cumsum(np.bincount(cols, minlength=q)).tolist()
+            out += [(float(taus[c]), hit_ids[s:e], hit_scores[s:e])
+                    for c, s, e in zip(range(q), [0, *ends], ends)]
         return out
 
     def _apply_repair(
@@ -1189,12 +1089,13 @@ class ApproxTopKIndex:
 class _InsertRun:
     """Cursor over a batched run of consecutive insertions.
 
-    Construction bulk-loads the database and the tuple index and
-    computes the ``(batch × M)`` score matrix in one GEMM; each
-    :meth:`step` then performs the membership/threshold maintenance of
-    exactly one insertion, in arrival order. Because insertions never
-    query the tuple index, the bulk load cannot be observed by the
-    per-op maintenance, so the delta stream is identical to calling
+    Construction bulk-loads the database and computes the
+    ``(batch × M)`` score matrix in one GEMM; each :meth:`step` then
+    performs the membership/threshold maintenance of exactly one
+    insertion, in arrival order. Insertion maintenance reads only the
+    new tuple's scores and the stored member rows, never the other
+    alive tuples, so the bulk load cannot be observed by the per-op
+    maintenance: the delta stream is identical to calling
     ``ApproxTopKIndex.insert`` once per point — the per-op work is one
     vectorized threshold comparison against a precomputed score row.
     """
@@ -1208,23 +1109,6 @@ class _InsertRun:
         self._index = index
         self._n0 = len(index._db)
         self._pids = index._db.insert_many(pts)
-        if pts.shape[0] >= _STAGE_LIMIT:
-            # Big runs go straight to the tree's own bulk loader; short
-            # runs accumulate in the staging buffer instead, so their
-            # per-point descents amortize across many runs.
-            index._flush_staged()
-            bulk = getattr(index._kdtree, "insert_many", None)
-            if bulk is not None:
-                bulk(self._pids, pts)
-            else:  # alternate tuple indexes (e.g. the quadtree)
-                for pid, vec in zip(self._pids, pts):
-                    index._kdtree.insert(int(pid), vec)
-        else:
-            staged = index._staged
-            for pid, vec in zip(self._pids.tolist(), pts):
-                staged[pid] = vec
-            if len(staged) >= _STAGE_LIMIT:
-                index._flush_staged()
         self._scores = pts @ index._u.T
         self._pos = 0
 
@@ -1272,13 +1156,9 @@ class _DeleteRun:
 
     * the database size is tracked by the cursor (``len(db)`` already
       reflects the whole batch);
-    * tuple-index removals are staged as tombstones and applied in bulk
-      waves — by the time a step needs a tree query, exactly the
-      victims of operations up to that step have been tombstoned, so
-      the flushed tree matches the sequential one point-for-point;
-    * brute-force repair waves reconstruct the alive-as-of-the-step
-      snapshot from the post-batch database plus the retained values of
-      the not-yet-processed victims — the same rows, in the same
+    * repair scans reconstruct the alive-as-of-the-step snapshot from
+      the post-batch database plus the retained values of the
+      not-yet-processed victims — the same rows, in the same
       ascending-id order, as the sequential path's snapshot.
 
     The delta stream is therefore identical to calling
@@ -1317,7 +1197,6 @@ class _DeleteRun:
         t = self._pos
         self._pos += 1
         tid = int(self._ids[t])
-        index._stage_tombstone(tid)
         # Sequential database size after this op (the db ran ahead).
         return index._delete_core(tid, self._n0 - (t + 1), self)
 
@@ -1328,13 +1207,13 @@ class _DeleteRun:
         the same operation: the post-batch alive set plus the victims
         of the not-yet-processed steps.
         """
-        db = self._index._db
-        base_ids = db.ids()
-        base_pts = db.points()
+        base_ids, base_pts = self._index._db.snapshot()
         extra = self._ids[self._pos:]
         if extra.size == 0:
             return base_ids, base_pts
-        all_ids = np.concatenate([base_ids, extra])
-        all_pts = np.concatenate([base_pts, self._victim_pts[self._pos:]])
-        order = np.argsort(all_ids)
-        return all_ids[order], all_pts[order]
+        order = np.argsort(extra)
+        extra = extra[order]
+        at = np.searchsorted(base_ids, extra)
+        return (np.insert(base_ids, at, extra),
+                np.insert(base_pts, at, self._victim_pts[self._pos:][order],
+                          axis=0))

@@ -26,8 +26,8 @@ def test_core_has_zero_undisabled_diagnostics() -> None:
     assert _active_renders(["src/repro/core"]) == []
 
 
-def test_index_and_scenarios_are_clean() -> None:
-    assert _active_renders(["src/repro/index", "src/repro/scenarios"]) == []
+def test_scenarios_are_clean() -> None:
+    assert _active_renders(["src/repro/scenarios"]) == []
 
 
 def test_full_lint_surface_is_clean() -> None:

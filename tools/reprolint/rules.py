@@ -39,14 +39,10 @@ def _prefix_match(relpath: str, prefix: str) -> bool:
     return relpath.startswith(prefix)
 
 
-_HOT_ALLOC_MODULES = (
+_HOT_MODULES = (
     "src/repro/core/topk.py",
     "src/repro/core/set_cover.py",
     "src/repro/core/fdrms.py",
-)
-
-_HOT_LOOP_MODULES = _HOT_ALLOC_MODULES + (
-    "src/repro/index/kdtree.py",
 )
 
 
@@ -67,7 +63,7 @@ RPL001 = _register(
             "is not canonical"
         ),
         fixit="wrap the iterable in sorted(...) or iterate a canonically ordered array",
-        include=("src/repro/core/", "src/repro/index/", "src/repro/scenarios/"),
+        include=("src/repro/core/", "src/repro/scenarios/"),
     )
 )
 
@@ -96,7 +92,7 @@ RPL004 = _register(
         name="per-element-loop",
         summary="per-element Python loop over a numpy array in a hot-path module",
         fixit="replace the index/append loop with a vectorized numpy expression",
-        include=_HOT_LOOP_MODULES,
+        include=_HOT_MODULES,
     )
 )
 
@@ -134,7 +130,7 @@ RPL008 = _register(
         name="alloc-in-hot-loop",
         summary="numpy allocation (np.zeros/np.empty/np.concatenate) inside a per-op loop",
         fixit="hoist the allocation out of the loop or reuse a preallocated scratch array",
-        include=_HOT_ALLOC_MODULES,
+        include=_HOT_MODULES,
     )
 )
 
