@@ -80,7 +80,7 @@ from repro.scenarios import (
     save_trace,
 )
 
-__version__ = "4.0.0"
+__version__ = "4.1.0"
 
 __all__ = [
     # unified solver API

@@ -29,8 +29,9 @@ from typing import Any
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro._types import FloatArray, SeedLike
-from repro.core.set_cover import StableSetCover, greedy_prefix_sizer
+from repro._types import AnyArray, FloatArray, SeedLike
+from repro.core.set_cover import (StableSetCover, _row_positions,
+                                  greedy_prefix_sizer)
 from repro.core.topk import (
     SCORE_TOL,
     ApproxTopKIndex,
@@ -442,30 +443,41 @@ class FDRMS:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _membership_prefix(self, m: int) -> dict[int, set[int]]:
-        """Set system restricted to the first ``m`` utilities.
+    def _prefix_system(self, m: int) -> tuple[AnyArray, AnyArray,
+                                              AnyArray]:
+        """Set system restricted to the first ``m`` utilities, as the
+        CSR ``(sids, lens, elems)`` that :meth:`StableSetCover.build_arrays`
+        installs.
 
-        Iterates ``members_of`` (the (score, id)-sorted view) rather
-        than the cheaper raw member rows on purpose: the resulting dict
-        key order — and with it the construction order of the cover's
-        internal sets — is part of the engine's determinism contract,
-        because the stable cover is history-dependent.
+        A set's elements are its utilities, ascending. The set order is
+        part of the engine's determinism contract (the stable cover is
+        history-dependent): each tuple in order of its first appearance
+        in the utility-major scan of the members ascending by (score,
+        id), i.e. sorted by (first utility, stored score there, id).
         """
-        sets: dict[int, set[int]] = {}
-        for u_idx in range(m):
-            for pid in self._topk.members_of(u_idx):
-                sets.setdefault(pid, set()).add(u_idx)
-        return sets
+        lens, pids, scores = self._topk.member_rows(m)
+        utils = np.repeat(np.arange(m), lens)
+        # Stable by pid: each tuple's utilities stay ascending.
+        by_pid = np.argsort(pids, kind="stable")
+        pids, utils = pids[by_pid], utils[by_pid]
+        ptr = np.r_[np.flatnonzero(np.r_[True, pids[1:] != pids[:-1]]),
+                    pids.size]
+        starts = ptr[:-1]
+        key = np.lexsort((pids[starts], scores[by_pid[starts]],
+                          utils[starts]))
+        elems = utils[_row_positions(ptr, key)]
+        return pids[starts[key]], np.diff(ptr)[key], elems
 
     def _initialize(self) -> int:
         """Algorithm 2: binary search ``m`` so the greedy cover has r sets.
 
         Probe sizes come from :func:`greedy_prefix_sizer` over the raw
-        member-id arrays — the same selection rule as the stateful
-        greedy, without building any Python set/dict state; the pool's
-        rows are concatenated and ranked once, and each probe slices its
-        prefix — so only the final chosen ``m`` pays for a full cover
-        construction.
+        member-id arrays — the same kernel and selection rule as the
+        stateful greedy, without building any membership state; the
+        pool's pairs are ranked and sorted set-major once, and each
+        probe masks its prefix — so only the final chosen ``m`` pays for
+        a cover construction, installed from :meth:`_prefix_system`'s
+        arrays.
         """
         probe = greedy_prefix_sizer(
             [self._topk.member_row(u) for u in range(self._m_max)])
@@ -489,16 +501,16 @@ class FDRMS:
         if chosen_m is None:
             chosen_m = fallback[1] if fallback is not None else self._r
         self._cover = StableSetCover()
-        self._cover.build(self._membership_prefix(chosen_m))
+        self._cover.build_arrays(*self._prefix_system(chosen_m))
         return chosen_m
 
     def _rebuild_cover(self) -> None:
         """Fresh greedy cover over the active prefix (edge-case path)."""
         self._stats["cover_rebuilds"] += 1
         self._cover = StableSetCover()
-        membership = self._membership_prefix(self._m)
-        if membership:
-            self._cover.build(membership)
+        sids, lens, elems = self._prefix_system(self._m)
+        if sids.size:
+            self._cover.build_arrays(sids, lens, elems)
 
     def _apply_delta_rows(self, us: list[int], ps: list[int],
                           ks: list[int]) -> None:

@@ -76,6 +76,7 @@ from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro._types import AnyArray, Int64Array
 
@@ -119,53 +120,74 @@ def _check_id(key: Any, kind: str) -> int:
     return key
 
 
-def _counting_greedy(flat: Int64Array, lens: AnyArray, n_sets: int,
-                     select: Callable[[AnyArray], int]) -> list[int]:
+def _dense_ranks(ids: AnyArray) -> tuple[AnyArray, AnyArray]:
+    """``np.unique(ids, return_inverse=True)`` for nonnegative ids, by
+    counting instead of sorting: the distinct ids ascending, and each
+    entry's rank among them."""
+    present = np.zeros(int(ids.max()) + 1 if ids.size else 0, dtype=bool)
+    present[ids] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[ids]
+
+
+def _row_positions(ptr: AnyArray, rows: AnyArray) -> AnyArray:
+    """Positions of the CSR rows ``rows`` (offsets ``ptr``), concatenated
+    in the given row order."""
+    starts = ptr[rows]
+    lens = ptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1] if lens.size else 0) + np.repeat(
+        starts - (ends - lens), lens)
+
+
+def _rank_pairs(elem_rows: Sequence[AnyArray]
+                ) -> tuple[AnyArray, AnyArray, AnyArray, AnyArray]:
+    """``(lens, sids, dense, elem_by_set)`` of an element-major set
+    system: row lengths, the distinct set ids ascending, each pair's
+    dense set rank, and each pair's element in set-major order (the
+    ``set_elems`` of :func:`_counting_greedy`)."""
+    lens = np.fromiter((r.shape[0] for r in elem_rows), np.intp,
+                       len(elem_rows))
+    flat = np.concatenate(elem_rows) if len(elem_rows) else _EMPTY_IDS
+    sids, dense = _dense_ranks(flat)
+    return lens, sids, dense, np.repeat(np.arange(lens.shape[0]), lens)[
+        np.argsort(dense, kind="stable")]
+
+
+def _counting_greedy(flat: AnyArray, lens: AnyArray, set_elems: AnyArray,
+                     n_sets: int) -> list[int]:
     """Shared GREEDY kernel over a flat CSR set system.
 
     ``flat`` holds, element-major, the dense set index of every
     (element, set) membership pair; ``lens`` the per-element row
-    lengths. ``select(gains)`` picks the next dense set index given the
-    current uncovered-gain vector (raising :class:`ValueError` when no
-    positive gain remains). Returns the dense selection order; gains are
-    maintained with counting updates, so the whole run is
-    O(total membership) plus the selection rule's own cost. Both the
-    size-only probe (:func:`greedy_prefix_sizer`) and the stateful build
-    (:meth:`StableSetCover._select_greedy`) run on this kernel — only
-    the selection rule differs.
+    lengths; ``set_elems`` the element of every pair in set-major
+    order, ascending within a set (a stable sort of ``flat``, which the
+    caller may compute once for many prefixes). Each step selects the
+    largest current uncovered gain, ties toward the smallest dense
+    index — the smallest id, as dense ranks are monotone in the id.
+    Returns the dense selection order; gains are maintained with
+    counting updates, so the whole run is O(total membership) plus one
+    argmax per selected set. Both the size-only probe
+    (:func:`greedy_prefix_sizer`) and the stateful build
+    (:meth:`StableSetCover._select_greedy`) run on this kernel.
     """
-    n_elems = lens.shape[0]
     eptr = np.r_[0, np.cumsum(lens)]
     counts = np.bincount(flat, minlength=n_sets)
     gains = counts.copy()
-    # CSR set -> elements: stable sort keeps element-major pair order.
-    order = np.argsort(flat, kind="stable")
-    set_elems = np.repeat(np.arange(n_elems, dtype=np.intp), lens)[order]
     sptr = np.r_[0, np.cumsum(counts)]
-    covered = np.zeros(n_elems, dtype=bool)
-    n_uncovered = n_elems
+    covered = np.zeros(lens.shape[0], dtype=bool)
+    n_uncovered = lens.shape[0]
     selection: list[int] = []
     while n_uncovered:
-        j = select(gains)
+        j = int(np.argmax(gains)) if n_sets else -1
+        if j < 0 or gains[j] <= 0:
+            raise ValueError("greedy failed: some element is uncoverable")
         row = set_elems[sptr[j]:sptr[j + 1]]
         won = row[~covered[row]]
         covered[won] = True
         n_uncovered -= int(won.size)
-        # reprolint: disable=RPL008 -- one gather per selected set; total membership bound
-        touched = np.concatenate([flat[eptr[e]:eptr[e + 1]]
-                                  for e in won.tolist()])
-        np.subtract.at(gains, touched, 1)
+        np.subtract.at(gains, flat[_row_positions(eptr, won)], 1)
         selection.append(j)
     return selection
-
-
-def _select_max_gain(gains: AnyArray) -> int:
-    """Largest gain, ties toward the smallest dense index (= smallest id)."""
-    j = int(np.argmax(gains))
-    # reprolint: disable=RPL002 -- int coverage count (bool sum); == 0 is exact
-    if gains[j] == 0:
-        raise ValueError("greedy failed: some element is uncoverable")
-    return j
 
 
 def greedy_prefix_sizer(elem_rows: Sequence[AnyArray]
@@ -179,24 +201,23 @@ def greedy_prefix_sizer(elem_rows: Sequence[AnyArray]
     uncovered-gain first, ties toward the smallest set id — so
     ``size(m)`` equals ``cover.build(...); cover.solution_size()`` on
     that prefix without paying for any membership state. Set ids are
-    ranked once over the whole system (``np.unique`` sorts, so the dense
-    rank is monotone in the id and the dense argmax tie-break matches
-    the stateful build's on every prefix). FD-RMS uses this for the
-    Algorithm 2 binary search, where only each probe's size matters.
+    ranked once over the whole system (the dense rank is monotone in
+    the id, so the dense argmax tie-break matches the stateful build's
+    on every prefix), and the pairs are sorted set-major once: a probe
+    keeps the pairs of its prefix with a mask instead of sorting again.
+    FD-RMS uses this for the Algorithm 2 binary search, where only each
+    probe's size matters.
     """
-    lens = np.fromiter((r.shape[0] for r in elem_rows), np.intp,
-                       len(elem_rows))
+    lens, sids, dense, elem_by_set = _rank_pairs(elem_rows)
     eptr = np.r_[0, np.cumsum(lens)]
-    flat = np.concatenate(elem_rows) if len(elem_rows) else _EMPTY_IDS
-    sids, dense = np.unique(flat, return_inverse=True)
 
     def size(m: int) -> int:
         if m == 0:
             return 0
         if not lens[:m].all():
             raise ValueError("greedy failed: some element is uncoverable")
-        return len(_counting_greedy(dense[:eptr[m]], lens[:m], sids.size,
-                                    _select_max_gain))
+        return len(_counting_greedy(dense[:eptr[m]], lens[:m],
+                                    elem_by_set[elem_by_set < m], sids.size))
 
     return size
 
@@ -409,13 +430,13 @@ class _Adjacency:
         if int(lens.sum()) != flat.shape[0]:
             raise ValueError("adjacency rows are inconsistent with lens")
         n = lens.shape[0]
-        adj._lens = [int(x) for x in lens]
+        adj._lens = lens.tolist()
         adj._rows = [None] * n
         if track:
             adj._pos = [None] * n
             # One int object per distinct id, shared by every map that
             # holds it: ``row.tolist()`` would make one per entry.
-            uniq, inv = np.unique(flat, return_inverse=True)
+            uniq, inv = _dense_ranks(flat)
             keys = np.array(uniq.tolist(), dtype=object)[inv].tolist()
         pos = 0
         for i in np.flatnonzero(lens).tolist():
@@ -653,19 +674,9 @@ class StableSetCover:
         """Install set system ``membership`` (sid -> iterable of elems)
         and compute a fresh greedy solution (stable by Lemma 1).
 
-        Elements only enter the universe through a containing set, so a
-        freshly built system cannot hold an uncoverable element; that
-        invariant is asserted by :meth:`is_cover` (and, transitively, by
-        ``FDRMS.verify``) rather than re-checked here.
-
-        The relation is installed as one CSR pair, in the order that
-        adding each (set, element) pair in turn would leave it: a set's
-        member row follows its own iteration order, an element's owner
-        row follows the mapping's key order, a repeated element keeps
-        its first position, and the id-indexed arrays get the capacities
-        that growth by doubling would reach.
+        An adapter onto :meth:`build_arrays`: the mapping's key order is
+        the set order and each set's iteration order its row order.
         """
-        self._reset()
         sid_list: list[int] = []
         lens: list[int] = []
         items: list[Any] = []
@@ -675,11 +686,39 @@ class StableSetCover:
             start = len(items)
             items.extend(row)
             lens.append(len(items) - start)
-        elems = np.array([_check_id(e, "element") for e in items],
-                         dtype=np.int64)
-        sids = np.array(sid_list, dtype=np.int64)
+        self.build_arrays(sid_list, lens,
+                          [_check_id(e, "element") for e in items])
+
+    def build_arrays(self, sids: ArrayLike, lens: ArrayLike,
+                     elems: ArrayLike) -> None:
+        """Install a CSR set system and compute a fresh greedy solution
+        (stable by Lemma 1).
+
+        Set ``sids[i]`` (distinct, nonnegative) holds the ``lens[i]``
+        elements that follow in ``elems``, set after set. Elements only
+        enter the universe through a containing set, so a freshly built
+        system cannot hold an uncoverable element; that invariant is
+        asserted by :meth:`is_cover` (and, transitively, by
+        ``FDRMS.verify``) rather than re-checked here.
+
+        The relation is installed in the order that adding each (set,
+        element) pair in turn would leave it: a set's member row follows
+        its row in ``elems``, an element's owner row follows the order
+        of ``sids``, a repeated element keeps its first position, and
+        the id-indexed arrays get the capacities that growth by doubling
+        would reach. The set order is part of the determinism contract
+        (it sizes the digested set-indexed arrays); the order within a
+        row is physical only — no decision reads it.
+        """
+        sids = np.asarray(sids, dtype=np.int64)
+        elems = np.asarray(elems, dtype=np.int64)
+        if (sids.size and sids.min() < 0) or (elems.size and elems.min() < 0):
+            raise ValueError("set and element ids must be nonnegative")
+        if int(np.sum(lens)) != elems.size or len(lens) != sids.size:
+            raise ValueError("set rows are inconsistent with lens")
+        self._reset()
         pair_sids = np.repeat(sids, lens)
-        # Element-major, key order within an element; a repeated
+        # Element-major, set order within an element; a repeated
         # (set, element) pair lands next to its first occurrence.
         by_elem = np.argsort(elems, kind="stable")
         e_sorted, s_sorted = elems[by_elem], pair_sids[by_elem]
@@ -714,35 +753,16 @@ class StableSetCover:
         """GREEDY selection order over the flat membership arrays.
 
         Selects the set with the largest *current* gain, ties toward
-        the smaller set id; gains are maintained as a dense counting
-        vector, and a lazy heap (keyed by set id) only arbitrates ties
-        — exactly the classic lazy-heap greedy, without recomputing any
-        ``len(set & set)`` per pop.
+        the smaller set id: :func:`_counting_greedy` over dense set
+        ranks, the rule and kernel of the Algorithm 2 probes.
         """
-        elems = np.flatnonzero(uncovered)
-        if elems.size == 0:
+        rows = [self._owners.row(e)
+                for e in np.flatnonzero(uncovered).tolist()]
+        if not rows:
             return []
-        rows = [self._owners.row(e) for e in elems.tolist()]
-        lens = np.fromiter((r.shape[0] for r in rows), np.intp, elems.size)
-        flat = np.concatenate(rows) if rows else _EMPTY_IDS
-        n_sets = self._level.shape[0]
-        heap = [(-int(g), sid) for sid, g in enumerate(
-            np.bincount(flat, minlength=n_sets).tolist()) if g > 0]
-        heapq.heapify(heap)
-
-        def select(gains: AnyArray) -> int:
-            while heap:
-                neg_g, sid = heapq.heappop(heap)
-                actual = int(gains[sid])
-                if actual == 0:
-                    continue
-                if actual != -neg_g:
-                    heapq.heappush(heap, (-actual, sid))
-                    continue
-                return sid
-            raise ValueError("greedy failed: some element is uncoverable")
-
-        return _counting_greedy(flat.astype(np.intp), lens, n_sets, select)
+        lens, sids, dense, set_elems = _rank_pairs(rows)
+        return sids[_counting_greedy(dense, lens, set_elems,
+                                     sids.size)].tolist()
 
     def _greedy(self) -> None:
         self._phi.fill(-1)
@@ -771,10 +791,10 @@ class StableSetCover:
             owners = np.concatenate([self._owners.row(e)
                                      for e in won.tolist()])
             np.add.at(self._bucket_counts[j], owners, 1)
-            cap = 1 << (j + 1)
-            for s in np.unique(owners).tolist():
-                if self._bucket_counts[j, s] >= cap:
-                    self._queue_push(s, j)
+            touched = np.unique(owners)
+            hot = touched[self._bucket_counts[j, touched] >= (1 << (j + 1))]
+            for s in hot.tolist():
+                self._queue_push(s, j)
         if uncovered.any():
             raise ValueError("greedy failed: some element is uncoverable")
         self._drain()

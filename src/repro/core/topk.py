@@ -110,8 +110,9 @@ def _column_top_k(scores: FloatArray, k: int) -> FloatArray:
     n, b = scores.shape
     g = n // k
     low = scores[:g * k].reshape(g, k, b).max(axis=0).min(axis=0)
-    rows, cols = np.nonzero(scores >= low)
-    vals = scores[rows, cols]
+    hit = np.flatnonzero(scores >= low)
+    cols = hit % b
+    vals = scores.ravel()[hit]
     ends = np.cumsum(np.bincount(cols, minlength=b))
     return vals[np.lexsort((vals, cols))][ends[:, None] - k + np.arange(k)]
 
@@ -676,6 +677,18 @@ class ApproxTopKIndex:
         """
         return self._store.row(u_index)[0]
 
+    def member_rows(self, m: int) -> tuple[IndexArray, IndexArray,
+                                           FloatArray]:
+        """``(lens, ids, scores)``: the member rows of utilities
+        ``[0, m)`` packed CSR, each in arrival order."""
+        store = self._store
+        rows = [store.row(i) for i in range(m)]
+        if not rows:
+            return _EMPTY_IDS, _EMPTY_IDS, _EMPTY_SCORES
+        return (store._row_len[:m].astype(np.intp),
+                np.concatenate([ids for ids, _ in rows]),
+                np.concatenate([scores for _, scores in rows]))
+
     def sets_containing(self, tuple_id: int) -> frozenset[int]:
         """``S(p)``: utility indices whose approximate top-k holds ``tuple_id``."""
         return self._store.sets_containing(tuple_id)
@@ -894,17 +907,20 @@ class ApproxTopKIndex:
     def _bootstrap(self, ids: IndexArray, pts: FloatArray) -> None:
         """Vectorized initial computation of every ``Φ_{k,ε}``.
 
-        One GEMM per utility chunk scores it as an ``(n, b)`` block;
+        One GEMM per utility chunk scores it as an ``(n, b)`` block,
+        written into one score buffer allocated per bootstrap (a fresh
+        block per chunk costs its page faults again);
         :func:`_column_top_k` gives thresholds and the ``(M, k)``
         top-score matrix. Memberships come from one row-major
-        ``nonzero`` per chunk, regrouped utility-major by a stable sort
-        of the (few) hits, and are installed as array slices — no
+        ``flatnonzero`` per chunk, regrouped utility-major by a stable
+        sort of the (few) hits, and are installed as array slices — no
         per-member Python loop. The inverted index is assembled once at
         the end from the flat (pid, utility) pairs.
 
-        The block stays ``pts @ block.T``: BLAS picks its edge kernels
-        by output layout, so ``block @ pts.T`` differs from it in the
-        last ulp for some chunk widths, and member scores are digested.
+        The block stays ``pts @ block.T`` into a C-contiguous ``(n, b)``
+        output: BLAS picks its edge kernels by output layout, so
+        ``block @ pts.T`` differs from it in the last ulp for some chunk
+        widths, and member scores are digested.
         """
         n = ids.shape[0]
         m_total, k, store = self._m_total, self._k, self._store
@@ -913,12 +929,14 @@ class ApproxTopKIndex:
         inv_owners: list[IndexArray] = []
         all_taus = np.zeros(m_total)
         if n > 0:
-            chunk = max(1, int(BOOTSTRAP_CHUNK_ELEMS // max(1, n)))
+            chunk = max(1, min(m_total, BOOTSTRAP_CHUNK_ELEMS // n))
+            buf = np.empty(n * chunk)
             for start in range(0, m_total, chunk):
                 block = self._u[start:start + chunk]
                 b = block.shape[0]
                 t0 = time.perf_counter()
-                scores = pts @ block.T  # (n, b)
+                scores = buf[:n * b].reshape(n, b)
+                np.matmul(pts, block.T, out=scores)
                 if n <= k:
                     # reprolint: disable=RPL008 -- per-GEMM-chunk, not per-op
                     taus = np.zeros(b)
@@ -928,13 +946,14 @@ class ApproxTopKIndex:
                     topk_rows = _column_top_k(scores, k)
                     taus = (1.0 - self._eps) * topk_rows[:, 0]
                 t1 = time.perf_counter()
-                rows, cols = np.nonzero(scores >= taus)
+                hit = np.flatnonzero(scores >= taus)
+                rows, cols = np.divmod(hit, b)
                 # Stable by utility: pids stay ascending within each.
                 order = np.argsort(cols, kind="stable")
-                rows, cols = rows[order], cols[order]
+                rows, cols, hit = rows[order], cols[order], hit[order]
                 bounds = np.r_[0, np.cumsum(np.bincount(cols, minlength=b))]
                 member_pids = ids[rows]
-                member_scores = scores[rows, cols]
+                member_scores = scores.ravel()[hit]
                 if member_scores.size:
                     mins = np.minimum.reduceat(member_scores, bounds[:-1])
                 else:
@@ -1036,8 +1055,9 @@ class ApproxTopKIndex:
                 taus = np.zeros(q)
             else:
                 taus = (1.0 - self._eps) * _column_top_k(scores, self._k)[:, 0]
-            rows, cols = np.nonzero(scores >= taus)
-            hit_scores = scores[rows, cols]
+            hit = np.flatnonzero(scores >= taus)
+            rows, cols = np.divmod(hit, q)
+            hit_scores = scores.ravel()[hit]
             hit_ids = ids[rows]
             order = np.lexsort((hit_ids, -hit_scores, cols))
             hit_ids, hit_scores = hit_ids[order], hit_scores[order]
