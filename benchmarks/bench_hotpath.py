@@ -9,7 +9,10 @@ stream):
 
 Both must reach the same result. It also times a warm checkpoint
 restore against a cold start. The full run adds the paper's §IV-A
-workload at half the dataset size.
+workload at half the dataset size. After every timed leg, an untimed
+leg reports ``engine_traced_mb``: the ``tracemalloc`` current size of
+one engine after the mixed workload's batched drive (a figure only, no
+gate).
 
 Results go to stdout and to a ``BENCH_hotpath.json`` trajectory at the
 repo root. The process exits non-zero when a warm restore is slower
@@ -26,11 +29,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +143,22 @@ def _bench_restore(engine: FDRMS, cold_init_seconds: float) -> dict:
     return out
 
 
+def _engine_traced_mb(initial, ops) -> float:
+    """MB that ``tracemalloc`` traces for one engine built on
+    ``initial`` and driven batched through ``ops`` (untimed)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        engine = _make_engine(initial)
+        _drive_batched(engine, ops)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return round(held / 2**20, 2)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
@@ -205,6 +226,12 @@ def main(argv=None) -> int:
             "paper §IV-A (insert phase, then delete phase)",
             paper.initial, paper.operations)
 
+    # Untimed, after every timed leg: tracing slows allocation.
+    mixed_out["engine_traced_mb"] = _engine_traced_mb(mixed.initial,
+                                                      mixed.operations)
+    print(f"\nengine traced after the mixed batched drive: "
+          f"{mixed_out['engine_traced_mb']:.2f} MB (tracemalloc)")
+
     write_json_atomic(args.out, report)
     print(f"\nwrote {args.out}")
 
@@ -221,14 +248,18 @@ def main(argv=None) -> int:
 
 
 def _print_cold_start(report: dict, baseline: dict) -> None:
-    """Print each cold-start phase beside the committed one.
+    """Print each cold-start phase, and the engine's traced MB,
+    beside the committed ones.
 
     Informational only (no gate): it shows which phase of a cold
     start moved when the restore-vs-cold ratio does.
     """
     def phases(rep: dict) -> dict:
-        return (rep.get("workloads", {}).get("mixed_50_50", {})
-                .get("cold_start_breakdown", {}))
+        mixed = rep.get("workloads", {}).get("mixed_50_50", {})
+        out = dict(mixed.get("cold_start_breakdown", {}))
+        if "engine_traced_mb" in mixed:
+            out["engine_traced_mb"] = mixed["engine_traced_mb"]
+        return out
 
     fresh, committed = phases(report), phases(baseline)
     print(f"  {'cold start phase (s)':24s} {'fresh':>9s}  {'committed':>9s}")

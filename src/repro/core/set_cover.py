@@ -32,10 +32,11 @@ by those ids — the same structure-of-arrays discipline as
 * the solution state is four id-indexed arrays: ``φ`` (assigned set or
   -1), the element's assignment level, the set's level (-1 = not in
   ``C``), and ``|cov(S)|``;
-* instead of materialized per-(set, level) buckets, a dense
-  ``(sets × levels)`` **count matrix** tracks ``|S ∩ A_j|``; a bucket's
-  members are recovered on demand (one vectorized filter of the set's
-  member row) only when STABILIZE actually absorbs it;
+* instead of materialized per-(set, level) buckets, a dense int32
+  ``(levels × sets)`` **count matrix** tracks ``|S ∩ A_j|``, one row
+  per level in use (at least 8); a bucket's members are recovered on
+  demand (one vectorized filter of the set's member row) only when
+  STABILIZE actually absorbs it;
 * the Condition-2 dirty queue is a binary heap of packed ``(level <<
   48) | set_id`` integer keys deduplicated by a ``(sets × levels)``
   boolean matrix.
@@ -235,19 +236,16 @@ class _Adjacency:
     set -> member elements). Rows grow by amortized doubling; removal
     swaps the last entry into the vacated slot, so rows are unordered —
     every consumer that needs a canonical order sorts the (small) slice
-    it looks at. With ``track=True`` a position map shadows each row,
-    making the σ-dedup membership test and each removal O(1) instead of
-    an array scan (element rows hold every tuple of the utility's
-    approximate top-k, which is large at scale); the maps carry no
-    ordered state — every decision reads the arrays.
+    it looks at. Membership tests and removals scan the row: no
+    per-row position map is kept, so a row costs its array and nothing
+    else.
     """
 
-    __slots__ = ("_rows", "_lens", "_pos")
+    __slots__ = ("_rows", "_lens")
 
-    def __init__(self, *, track: bool = False) -> None:
+    def __init__(self) -> None:
         self._rows: list[Int64Array | None] = []
         self._lens: list[int] = []
-        self._pos: list[dict[int, int] | None] | None = [] if track else None
 
     def ensure(self, idx: int) -> None:
         if idx < len(self._rows):
@@ -255,8 +253,6 @@ class _Adjacency:
         grow = idx + 1 - len(self._rows)
         self._rows.extend([None] * grow)
         self._lens.extend([0] * grow)
-        if self._pos is not None:
-            self._pos.extend([None] * grow)
 
     def degree(self, idx: int) -> int:
         if idx >= len(self._rows):
@@ -270,10 +266,6 @@ class _Adjacency:
         return self._rows[idx][: self._lens[idx]]
 
     def contains(self, idx: int, other: int) -> bool:
-        if self._pos is not None:
-            if idx >= len(self._rows) or self._pos[idx] is None:
-                return False
-            return other in self._pos[idx]
         return bool((self.row(idx) == other).any())
 
     def _grow_row(self, idx: int, need: int) -> Int64Array:
@@ -292,30 +284,14 @@ class _Adjacency:
         row = self._grow_row(idx, n + 1)
         row[n] = other
         self._lens[idx] = n + 1
-        if self._pos is not None:
-            if self._pos[idx] is None:
-                self._pos[idx] = {}
-            self._pos[idx][other] = n
 
     def remove(self, idx: int, other: int) -> bool:
-        """Drop ``other`` from row ``idx``; False when absent."""
+        """Drop ``other`` from row ``idx`` (the last entry moves into
+        its slot); False when absent."""
         n = self.degree(idx)
         if n == 0:
             return False
         row = self._rows[idx]
-        if self._pos is not None:
-            pos = self._pos[idx]
-            if pos is None:
-                return False
-            p = pos.pop(other, None)
-            if p is None:
-                return False
-            last = int(row[n - 1])
-            if p != n - 1:
-                row[p] = last
-                pos[last] = p
-            self._lens[idx] = n - 1
-            return True
         match = row[:n] == other
         p = int(match.argmax())
         if not match[p]:
@@ -332,19 +308,13 @@ class _Adjacency:
         row = self._grow_row(idx, need)
         row[n:need] = others
         self._lens[idx] = need
-        if self._pos is not None:
-            pos = self._pos[idx]
-            if pos is None:
-                pos = self._pos[idx] = {}
-            for p, other in enumerate(others.tolist(), start=n):
-                pos[other] = p
 
     def append_each(self, idxs: list[int], other: int) -> None:
         """Append ``other`` to every row in ``idxs`` (one call, no dups)."""
         if not idxs:
             return
         self.ensure(max(idxs))
-        rows, lens, poss = self._rows, self._lens, self._pos
+        rows, lens = self._rows, self._lens
         for idx in idxs:
             n = lens[idx]
             row = rows[idx]
@@ -356,56 +326,34 @@ class _Adjacency:
                 row = rows[idx] = grown
             row[n] = other
             lens[idx] = n + 1
-            if poss is not None:
-                if poss[idx] is None:
-                    poss[idx] = {}
-                poss[idx][other] = n
 
     def remove_many(self, idx: int, others: Int64Array) -> Int64Array:
         """Drop every id in ``others`` present in row ``idx``.
 
-        Returns the removed ids in row (arrival) order; absent ids are
-        ignored.
+        Returns the removed ids in their pre-removal row order; absent
+        ids are ignored. The hits are swap-removed one at a time in
+        that order, exactly as a run of :meth:`remove` calls would: the
+        row order left behind is history-dependent state that
+        checkpoints store (:meth:`export_rows`), so it must not depend
+        on how a removal was carried out.
         """
         n = self.degree(idx)
         if n == 0:
             return _EMPTY_IDS
         row = self._rows[idx]
-        if self._pos is not None:
-            # Position-indexed rows: O(group) swap-removals, but the
-            # returned order must still be the pre-removal row order.
-            pos = self._pos[idx]
-            if pos is None:
-                return _EMPTY_IDS
-            hits = [(p, o) for o in others.tolist()
-                    if (p := pos.get(o)) is not None]
-            if not hits:
-                return _EMPTY_IDS
-            hits.sort()
-            removed = np.asarray([o for _, o in hits], dtype=np.int64)
-            for o in removed.tolist():
-                p = pos.pop(o)
-                last = int(row[n - 1])
-                if p != n - 1:
-                    row[p] = last
-                    pos[last] = p
-                n -= 1
-            self._lens[idx] = n
-            return removed
-        hit = (row[:n, None] == others).any(axis=1)
-        removed = row[:n][hit].copy()
-        if removed.size:
-            keep = row[:n][~hit]
-            row[: keep.size] = keep
-            self._lens[idx] = int(keep.size)
+        removed = row[np.flatnonzero(np.isin(row[:n], others))]
+        for o in removed.tolist():
+            # An earlier swap may have moved ``o``; find it again.
+            p = int((row[:n] == o).argmax())
+            n -= 1
+            row[p] = row[n]
+        self._lens[idx] = n
         return removed
 
     def clear(self, idx: int) -> None:
         if idx < len(self._rows):
             self._rows[idx] = None
             self._lens[idx] = 0
-            if self._pos is not None:
-                self._pos[idx] = None
 
     # -- persistence ---------------------------------------------------
     def export_rows(self) -> tuple[Int64Array, Int64Array]:
@@ -422,9 +370,9 @@ class _Adjacency:
         return lens, flat
 
     @classmethod
-    def import_rows(cls, lens, flat, *, track: bool = False) -> "_Adjacency":
-        """Rebuild from :meth:`export_rows`; position maps are derived."""
-        adj = cls(track=track)
+    def import_rows(cls, lens, flat) -> "_Adjacency":
+        """Rebuild from :meth:`export_rows`."""
+        adj = cls()
         lens = np.asarray(lens, dtype=np.int64)
         flat = np.asarray(flat, dtype=np.int64).copy()
         if int(lens.sum()) != flat.shape[0]:
@@ -432,18 +380,10 @@ class _Adjacency:
         n = lens.shape[0]
         adj._lens = lens.tolist()
         adj._rows = [None] * n
-        if track:
-            adj._pos = [None] * n
-            # One int object per distinct id, shared by every map that
-            # holds it: ``row.tolist()`` would make one per entry.
-            uniq, inv = _dense_ranks(flat)
-            keys = np.array(uniq.tolist(), dtype=object)[inv].tolist()
         pos = 0
         for i in np.flatnonzero(lens).tolist():
             ln = int(lens[i])
             adj._rows[i] = flat[pos:pos + ln]
-            if track:
-                adj._pos[i] = dict(zip(keys[pos:pos + ln], range(ln)))
             pos += ln
         return adj
 
@@ -462,10 +402,9 @@ class StableSetCover:
         self.stabilize_steps = 0  # cumulative, for diagnostics/benchmarks
 
     def _reset(self) -> None:
-        # Membership relation (the set system Σ). The owners side
-        # carries the O(1) dedup shadow (σ arrive as raw deltas).
-        self._owners = _Adjacency(track=True)   # elem -> sids
-        self._members = _Adjacency()            # sid  -> elems
+        # Membership relation (the set system Σ).
+        self._owners = _Adjacency()    # elem -> sids
+        self._members = _Adjacency()   # sid  -> elems
         self._elem_alive = np.zeros(0, dtype=bool)
         self._n_elems = 0
         # Solution state, id-indexed.
@@ -474,8 +413,10 @@ class StableSetCover:
         self._level = np.full(0, -1, dtype=np.int64)       # sid -> j
         self._cov_size = np.zeros(0, dtype=np.int64)       # sid -> |cov|
         self._n_solution = 0
-        # |S ∩ A_j| counts and the dirty queue over them.
-        self._bucket_counts = np.zeros((8, 0), dtype=np.int64)
+        # |S ∩ A_j| counts and the dirty queue over them; one row per
+        # level in use (at least 8), int32 since a count is at most the
+        # number of elements (see _ensure_elem).
+        self._bucket_counts = np.zeros((8, 0), dtype=np.int32)
         self._pending: list[int] = []        # heap of (j << 48) | sid
         self._pending_mask = np.zeros((8, 0), dtype=bool)
         self._deferred = False
@@ -488,6 +429,8 @@ class StableSetCover:
         if elem < cap:
             return
         new_cap = max(elem + 1, 2 * cap, 16)
+        if new_cap >= 1 << 31:  # keeps every int32 level count exact
+            raise ValueError(f"element capacity {new_cap} exceeds 2**31 - 1")
         self._phi = self._grow1(self._phi, new_cap, -1)
         self._elem_level = self._grow1(self._elem_level, new_cap, -1)
         alive = np.zeros(new_cap, dtype=bool)
@@ -504,7 +447,7 @@ class StableSetCover:
         self._level = self._grow1(self._level, new_cap, -1)
         self._cov_size = self._grow1(self._cov_size, new_cap, 0)
         levels = self._bucket_counts.shape[0]
-        counts = np.zeros((levels, new_cap), dtype=np.int64)
+        counts = np.zeros((levels, new_cap), dtype=np.int32)
         counts[:, :cap] = self._bucket_counts
         self._bucket_counts = counts
         mask = np.zeros((levels, new_cap), dtype=bool)
@@ -516,9 +459,9 @@ class StableSetCover:
         levels = self._bucket_counts.shape[0]
         if j < levels:
             return
-        new_levels = max(j + 1, 2 * levels)
+        new_levels = j + 1
         counts = np.zeros((new_levels, self._bucket_counts.shape[1]),
-                          dtype=np.int64)
+                          dtype=np.int32)
         counts[:levels] = self._bucket_counts
         self._bucket_counts = counts
         mask = np.zeros((new_levels, self._pending_mask.shape[1]),
@@ -571,7 +514,7 @@ class StableSetCover:
         """
         cover = cls()
         cover._owners = _Adjacency.import_rows(
-            state["owners_lens"], state["owners_flat"], track=True)
+            state["owners_lens"], state["owners_flat"])
         cover._members = _Adjacency.import_rows(
             state["members_lens"], state["members_flat"])
         cover._elem_alive = np.asarray(state["elem_alive"],
@@ -598,7 +541,7 @@ class StableSetCover:
             cover._members.ensure(scap - 1)
         levels = max(8, int(cover._elem_level.max(initial=-1)) + 1,
                      int(cover._level.max(initial=-1)) + 1)
-        counts = np.zeros((levels, scap), dtype=np.int64)
+        counts = np.zeros((levels, scap), dtype=np.int32)
         for elem in np.flatnonzero(cover._elem_alive).tolist():
             j = int(cover._elem_level[elem])
             if j >= 0:
@@ -727,8 +670,7 @@ class StableSetCover:
                              | (s_sorted[1:] != s_sorted[:-1]))
         kept_elems, kept_sids = elems[keep], pair_sids[keep]
         self._owners = _Adjacency.import_rows(
-            np.bincount(kept_elems), pair_sids[by_elem[keep[by_elem]]],
-            track=True)
+            np.bincount(kept_elems), pair_sids[by_elem[keep[by_elem]]])
         self._members = _Adjacency.import_rows(
             np.bincount(kept_sids,
                         minlength=int(sids.max()) + 1 if sids.size else 0),
@@ -741,7 +683,7 @@ class StableSetCover:
         self._elem_level = np.full(ecap, -1, dtype=np.int64)
         self._level = np.full(scap, -1, dtype=np.int64)
         self._cov_size = np.zeros(scap, dtype=np.int64)
-        self._bucket_counts = np.zeros((8, scap), dtype=np.int64)
+        self._bucket_counts = np.zeros((8, scap), dtype=np.int32)
         self._pending_mask = np.zeros((8, scap), dtype=bool)
         self._greedy()
 

@@ -535,21 +535,28 @@ class MemberStore:
         self._inv_len[pid] = n - 1
 
     # -- persistence ---------------------------------------------------
-    def export_state(self) -> dict:
-        """Flat-array snapshot: member rows packed CSR in arrival order.
+    def packed_rows(self, m: int | None = None
+                    ) -> tuple[AnyArray, IndexArray, FloatArray]:
+        """``(row_len, ids_flat, scores_flat)``: the member rows of
+        utilities ``[0, m)`` (all by default) packed CSR, each in arrival
+        order. ``row_len`` is a view of the live lengths.
 
         Arrival order is logical state (removal deltas replay it), so
-        rows concatenate exactly as stored; the inverted index is
-        unordered by contract but serialized as-is for cheapness.
+        rows concatenate exactly as stored.
         """
-        m = self._m
-        lens = self._row_len
-        ids_flat = (np.concatenate([self._row_ids[i][: int(lens[i])]
-                                    for i in range(m)])
-                    if m else np.empty(0, dtype=np.intp))
-        scores_flat = (np.concatenate([self._row_scores[i][: int(lens[i])]
-                                       for i in range(m)])
-                       if m else np.empty(0, dtype=np.float64))
+        lens = self._row_len[:self._m if m is None else m]
+        if not lens.shape[0]:
+            return lens, _EMPTY_IDS, _EMPTY_SCORES
+        ns = lens.tolist()
+        return (lens,
+                np.concatenate([r[:n] for r, n in zip(self._row_ids, ns)]),
+                np.concatenate([r[:n] for r, n in zip(self._row_scores, ns)]))
+
+    def export_state(self) -> dict:
+        """Flat-array snapshot: member rows from :meth:`packed_rows`;
+        the inverted index is unordered by contract but serialized as-is
+        for cheapness."""
+        lens, ids_flat, scores_flat = self.packed_rows()
         inv_len = np.asarray(self._inv_len, dtype=np.int64)
         inv_flat = ([self._inv_rows[p][: int(inv_len[p])]
                      for p in np.flatnonzero(inv_len).tolist()])
@@ -681,13 +688,8 @@ class ApproxTopKIndex:
                                            FloatArray]:
         """``(lens, ids, scores)``: the member rows of utilities
         ``[0, m)`` packed CSR, each in arrival order."""
-        store = self._store
-        rows = [store.row(i) for i in range(m)]
-        if not rows:
-            return _EMPTY_IDS, _EMPTY_IDS, _EMPTY_SCORES
-        return (store._row_len[:m].astype(np.intp),
-                np.concatenate([ids for ids, _ in rows]),
-                np.concatenate([scores for _, scores in rows]))
+        lens, ids, scores = self._store.packed_rows(m)
+        return lens.astype(np.intp), ids, scores
 
     def sets_containing(self, tuple_id: int) -> frozenset[int]:
         """``S(p)``: utility indices whose approximate top-k holds ``tuple_id``."""
@@ -897,10 +899,10 @@ class ApproxTopKIndex:
         must be invariant to physical layout.
         """
         yield "u", self._u
-        ms = self._store.export_state()
-        yield "member_len", ms["row_len"]
-        yield "member_ids", ms["ids_flat"]
-        yield "member_scores", ms["scores_flat"]
+        lens, ids_flat, scores_flat = self._store.packed_rows()
+        yield "member_len", lens
+        yield "member_ids", ids_flat
+        yield "member_scores", scores_flat
         yield "tau", self._tau
         yield "active", np.isfinite(self._tau)
 
