@@ -11,8 +11,9 @@ Both must reach the same result. It also times a warm checkpoint
 restore against a cold start. The full run adds the paper's §IV-A
 workload at half the dataset size. After every timed leg, an untimed
 leg reports ``engine_traced_mb``: the ``tracemalloc`` current size of
-one engine after the mixed workload's batched drive (a figure only, no
-gate).
+one engine after the mixed workload's batched drive; beside it,
+``result_us`` is the median ``FDRMS.result()`` time on the engine the
+mixed batched drive left (figures only, no gate).
 
 Results go to stdout and to a ``BENCH_hotpath.json`` trajectory at the
 repo root. The process exits non-zero when a warm restore is slower
@@ -143,6 +144,16 @@ def _bench_restore(engine: FDRMS, cold_init_seconds: float) -> dict:
     return out
 
 
+def _result_us(engine: FDRMS, reps: int = 201) -> float:
+    """Median microseconds of one ``engine.result()`` read."""
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        engine.result()
+        times.append(time.perf_counter() - t0)
+    return round(1e6 * float(np.median(times)), 2)
+
+
 def _engine_traced_mb(initial, ops) -> float:
     """MB that ``tracemalloc`` traces for one engine built on
     ``initial`` and driven batched through ``ops`` (untimed)."""
@@ -214,6 +225,7 @@ def main(argv=None) -> int:
     mixed_out, mixed_engine = _bench_workload(
         "mixed 50/50 churn", mixed.initial, mixed.operations)
     report["workloads"]["mixed_50_50"] = mixed_out
+    mixed_out["result_us"] = _result_us(mixed_engine)
 
     report["restore"] = _bench_restore(
         mixed_engine,
@@ -230,7 +242,8 @@ def main(argv=None) -> int:
     mixed_out["engine_traced_mb"] = _engine_traced_mb(mixed.initial,
                                                       mixed.operations)
     print(f"\nengine traced after the mixed batched drive: "
-          f"{mixed_out['engine_traced_mb']:.2f} MB (tracemalloc)")
+          f"{mixed_out['engine_traced_mb']:.2f} MB (tracemalloc); "
+          f"result() median {mixed_out['result_us']:.2f} us")
 
     write_json_atomic(args.out, report)
     print(f"\nwrote {args.out}")
@@ -248,8 +261,8 @@ def main(argv=None) -> int:
 
 
 def _print_cold_start(report: dict, baseline: dict) -> None:
-    """Print each cold-start phase, and the engine's traced MB,
-    beside the committed ones.
+    """Print each cold-start phase, the engine's traced MB and its
+    ``result()`` median, beside the committed ones.
 
     Informational only (no gate): it shows which phase of a cold
     start moved when the restore-vs-cold ratio does.
@@ -257,8 +270,9 @@ def _print_cold_start(report: dict, baseline: dict) -> None:
     def phases(rep: dict) -> dict:
         mixed = rep.get("workloads", {}).get("mixed_50_50", {})
         out = dict(mixed.get("cold_start_breakdown", {}))
-        if "engine_traced_mb" in mixed:
-            out["engine_traced_mb"] = mixed["engine_traced_mb"]
+        for key in ("engine_traced_mb", "result_us"):
+            if key in mixed:
+                out[key] = mixed[key]
         return out
 
     fresh, committed = phases(report), phases(baseline)

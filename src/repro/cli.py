@@ -331,6 +331,7 @@ def cmd_replay(args) -> int:
 
 def cmd_serve(args) -> int:
     import asyncio
+    import signal
 
     from repro.server import ReproServer, TenantQuota
     quota = TenantQuota(max_ops_per_request=args.max_ops_per_request,
@@ -342,19 +343,24 @@ def cmd_serve(args) -> int:
 
     async def _run() -> None:
         host, port = await server.start()
+        # SIGTERM and SIGINT both end serving and run server.close(); a
+        # handler installed here also replaces the SIGINT a background
+        # job inherits as ignored.
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(signum, stop.set)
         print(f"repro serve listening on http://{host}:{port} "
               f"(max_tenants={args.max_tenants}, "
               f"checkpoint_root={args.checkpoint_root}); Ctrl-C stops",
               flush=True)
         try:
-            await server.serve_forever()
+            await stop.wait()
         finally:
             await server.close()
 
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("repro serve: shut down")
+    asyncio.run(_run())
+    print("repro serve: shut down", flush=True)
     return 0
 
 

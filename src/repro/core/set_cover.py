@@ -32,6 +32,9 @@ by those ids — the same structure-of-arrays discipline as
 * the solution state is four id-indexed arrays: ``φ`` (assigned set or
   -1), the element's assignment level, the set's level (-1 = not in
   ``C``), and ``|cov(S)|``;
+* the ids of the sets in ``C`` are kept in one small unordered array
+  (|C| ≈ r entries, swap-removed where a set leaves ``C``), so reading
+  the solution costs O(|C|), not a scan of every set id ever held;
 * instead of materialized per-(set, level) buckets, a dense int32
   ``(levels × sets)`` **count matrix** tracks ``|S ∩ A_j|``, one row
   per level in use (at least 8); a bucket's members are recovered on
@@ -412,7 +415,7 @@ class StableSetCover:
         self._elem_level = np.full(0, -1, dtype=np.int64)  # elem -> j
         self._level = np.full(0, -1, dtype=np.int64)       # sid -> j
         self._cov_size = np.zeros(0, dtype=np.int64)       # sid -> |cov|
-        self._n_solution = 0
+        self._solution: Int64Array = _EMPTY_IDS            # C, unordered
         # |S ∩ A_j| counts and the dirty queue over them; one row per
         # level in use (at least 8), int32 since a count is at most the
         # number of elements (see _ensure_elem).
@@ -508,9 +511,9 @@ class StableSetCover:
     def from_state(cls, state) -> "StableSetCover":
         """Rebuild a cover from :meth:`export_state` arrays.
 
-        Bucket counts and the (empty) dirty queue are derived, not
-        stored: ``|S ∩ A_j|`` is one scatter-add over the alive covered
-        elements.
+        Bucket counts, the solution array and the (empty) dirty queue
+        are derived, not stored: ``|S ∩ A_j|`` is one scatter-add over
+        the alive covered elements, and ``C`` is the sets with a level.
         """
         cover = cls()
         cover._owners = _Adjacency.import_rows(
@@ -533,7 +536,7 @@ class StableSetCover:
                 and 0 <= n_elems <= ecap):
             raise ValueError("set-cover state arrays are inconsistent")
         cover._n_elems = n_elems
-        cover._n_solution = int((cover._level >= 0).sum())
+        cover._solution = np.flatnonzero(cover._level >= 0)
         cover.stabilize_steps = int(state["stabilize_steps"])
         if ecap:
             cover._owners.ensure(ecap - 1)
@@ -582,11 +585,11 @@ class StableSetCover:
         return frozenset(np.flatnonzero(self._elem_alive).tolist())
 
     def solution(self) -> frozenset[int]:
-        """The sets currently in the cover ``C``."""
-        return frozenset(np.flatnonzero(self._level >= 0).tolist())
+        """The sets currently in the cover ``C`` (O(|C|))."""
+        return frozenset(self._solution.tolist())
 
     def solution_size(self) -> int:
-        return self._n_solution
+        return self._solution.shape[0]
 
     def cover_of(self, sid: int) -> frozenset[int]:
         """``cov(S)`` of a set (empty if not in the solution)."""
@@ -711,11 +714,11 @@ class StableSetCover:
         self._elem_level.fill(-1)
         self._level.fill(-1)
         self._cov_size.fill(0)
-        self._n_solution = 0
         self._bucket_counts.fill(0)
         self._pending_mask.fill(False)
         self._pending.clear()
         uncovered = self._elem_alive.copy()
+        chosen: list[int] = []
         for sid in self._select_greedy(uncovered):
             mem = self._members.row(sid)
             won = np.sort(mem[uncovered[mem]])
@@ -726,7 +729,7 @@ class StableSetCover:
             self._cov_size[sid] = won.size
             j = _level_of(int(won.size))
             self._level[sid] = j
-            self._n_solution += 1
+            chosen.append(sid)
             self._ensure_level(j)
             self._elem_level[won] = j
             # reprolint: disable=RPL008 -- cold-build gather, not a per-op path
@@ -739,6 +742,7 @@ class StableSetCover:
                 self._queue_push(s, j)
         if uncovered.any():
             raise ValueError("greedy failed: some element is uncoverable")
+        self._solution = np.asarray(chosen, dtype=np.int64)
         self._drain()
 
     # ------------------------------------------------------------------
@@ -1009,7 +1013,7 @@ class StableSetCover:
         orphans = np.flatnonzero(self._phi == sid)
         if self._level[sid] >= 0:
             self._level[sid] = -1
-            self._n_solution -= 1
+            self._leave_solution(sid)
         self._cov_size[sid] = 0
         for elem in orphans.tolist():
             self._phi[elem] = -1
@@ -1033,8 +1037,13 @@ class StableSetCover:
         return True
 
     def is_stable(self) -> bool:
-        """Exhaustively check Definition 2 (both conditions)."""
-        for sid in np.flatnonzero(self._level >= 0).tolist():
+        """Exhaustively check Definition 2 (both conditions), and that
+        the solution array holds exactly the sets with a level."""
+        in_c = np.flatnonzero(self._level >= 0)
+        if (self.solution_size() != in_c.shape[0]
+                or not np.array_equal(np.sort(self._solution), in_c)):
+            return False  # a missing, stray or duplicated solution id
+        for sid in in_c.tolist():
             size = int(self._cov_size[sid])
             if size == 0 or self._level[sid] != _level_of(size):
                 return False
@@ -1149,6 +1158,13 @@ class StableSetCover:
             # RELEVEL kept the set's level; sync just the new arrival.
             self._set_elem_level(elem, new_j)
 
+    def _leave_solution(self, sid: int) -> None:
+        """Swap-remove ``sid`` from the solution array."""
+        sol = self._solution
+        p = int((sol == sid).argmax())
+        sol[p] = sol[-1]
+        self._solution = sol[:-1]
+
     def _relevel(self, sid: int) -> None:
         """RELEVEL of Algorithm 1: sync ``sid``'s level with |cov|."""
         size = int(self._cov_size[sid])
@@ -1156,11 +1172,11 @@ class StableSetCover:
         if size == 0:
             if in_sol:
                 self._level[sid] = -1
-                self._n_solution -= 1
+                self._leave_solution(sid)
             return
         new_j = _level_of(size)
         if not in_sol:
-            self._n_solution += 1
+            self._solution = np.append(self._solution, sid)
         if self._level[sid] == new_j:
             # Cover members were in sync before this size change; any
             # freshly assigned element is synced by its caller

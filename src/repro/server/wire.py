@@ -164,7 +164,11 @@ async def write_response(writer: asyncio.StreamWriter, status: int,
                          keep_alive: bool = True,
                          extra_headers: Mapping[str, str] | None = None
                          ) -> None:
-    """Serialize and send one response (mappings are JSON-encoded)."""
+    """Serialize and send one response (mappings are JSON-encoded).
+
+    Head and body leave in one ``write``: with an empty send buffer,
+    the transport sends each write at once, in a socket send of its own.
+    """
     if not isinstance(body, (bytes, bytearray)):
         body = (json.dumps(body, sort_keys=True) + "\n").encode()
     reason = _STATUS_REASON.get(status, "Unknown")
@@ -174,8 +178,8 @@ async def write_response(writer: asyncio.StreamWriter, status: int,
             f"Connection: {'keep-alive' if keep_alive else 'close'}"]
     for name, value in (extra_headers or {}).items():
         head.append(f"{name}: {value}")
-    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
-    writer.write(bytes(body))
+    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
+                 + body)
     await writer.drain()
 
 

@@ -15,6 +15,12 @@ pytest plugin is required.
 from __future__ import annotations
 
 import asyncio
+import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -38,6 +44,7 @@ from repro.server.wire import (
     _ws_mask,
     _ws_read_frame,
     websocket_accept,
+    write_response,
 )
 from repro.service.supervisor import result_digest
 
@@ -150,6 +157,36 @@ class TestWebSocketMasking:
         frame = _ws_encode_frame(WS_OP_TEXT, payload, mask=mask)
         assert frame.endswith(masked)
         assert _read_frame(frame) == (WS_OP_TEXT, True, payload)
+
+
+class _RecordingWriter:
+    """Stands in for an ``asyncio.StreamWriter``; keeps every write."""
+
+    def __init__(self) -> None:
+        self.writes: list[bytes] = []
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(bytes(data))
+
+    async def drain(self) -> None:
+        pass
+
+
+class TestResponseWrite:
+    @pytest.mark.parametrize("status,body,keep_alive,head", [
+        (200, {"ok": True, "ids": [3, 1]}, True,
+         "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+         "Content-Length: 28\r\nConnection: keep-alive\r\n\r\n"),
+        (404, error_envelope("unknown_tenant", "no tenant 'x'"), False,
+         "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n"
+         "Content-Length: 66\r\nConnection: close\r\n\r\n"),
+    ], ids=["ok", "error"])
+    def test_one_write_per_response(self, status, body, keep_alive, head):
+        writer = _RecordingWriter()
+        asyncio.run(write_response(writer, status, body,
+                                   keep_alive=keep_alive))
+        encoded = (json.dumps(body, sort_keys=True) + "\n").encode()
+        assert writer.writes == [head.encode("latin-1") + encoded]
 
 
 # ----------------------------------------------------------------------
@@ -715,3 +752,49 @@ class TestLoadgen:
             session.close()
         assert inline_digest(trace, r=r_eff, k=1, seed=0, eps=0.1,
                              m_max=32) == expected
+
+
+# ----------------------------------------------------------------------
+# `repro serve` process lifecycle
+# ----------------------------------------------------------------------
+
+def _ignore_sigint() -> None:
+    # What a background job of a non-interactive shell hands the server.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+def test_serve_shuts_down_gracefully_on_signal(signum, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1",
+         "--port", "0", "--checkpoint-root", str(tmp_path)],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True, env=env,
+        preexec_fn=_ignore_sigint)
+    try:
+        banner = proc.stdout.readline()
+        assert "listening on http://" in banner, banner
+        port = int(banner.split("listening on http://")[1].split()[0]
+                   .rsplit(":", 1)[1])
+
+        async def open_tenant() -> int:
+            client = HttpClient("127.0.0.1", port)
+            try:
+                resp = await client.request(
+                    "POST", "/v1/tenants/t/open", _open_payload(_points(n=30)))
+                return resp.status
+            finally:
+                await client.close()
+
+        assert asyncio.run(open_tenant()) == 200
+        proc.send_signal(signum)
+        # The timeout only guards against a hang; no wall-clock bound.
+        out, _ = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0
+    assert "repro serve: shut down" in out

@@ -10,6 +10,8 @@ Theorem 1 gives the quality bound |C| <= (2 + 2·log2 m)·OPT, which we
 check against the exact LP lower bound on random systems.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +254,124 @@ def test_random_operation_stream_property(seed, n_ops):
                 cover.remove_from_set(e, owners[int(rng.integers(len(owners)))])
         assert cover.is_cover()
         assert cover.is_stable()
+
+
+def _assert_solution_matches_levels(cover: StableSetCover) -> None:
+    """The maintained solution array is exactly ``{sid : level >= 0}``."""
+    want = np.flatnonzero(cover._level >= 0).tolist()
+    held = cover._solution.tolist()
+    assert len(set(held)) == len(held), "duplicated solution id"
+    assert sorted(held) == want
+    assert cover.solution() == frozenset(want)
+    assert cover.solution_size() == len(want)
+    assert cover.is_cover() and cover.is_stable()
+
+
+def _random_sigma(cover: StableSetCover, rng, fresh: list[int]):
+    """Apply one random σ (or bulk op, rebuild, build or checkpoint
+    round trip) to ``cover``; returns the cover to keep using.
+    ``fresh`` holds the next unused ``[element id, set id]``."""
+    elems = sorted(cover.universe)
+    n_sids = cover._level.shape[0]
+    live = [s for s in range(n_sids) if cover._members.degree(s)]
+    e = elems[int(rng.integers(len(elems)))]
+    s = live[int(rng.integers(len(live)))]
+    owners = sorted(cover.sets_of(e))
+    roll = int(rng.integers(11))
+    if roll == 0:
+        picks = rng.choice(live, size=min(3, len(live)), replace=False)
+        cover.add_element(fresh[0], picks.tolist())
+        fresh[0] += 1
+    elif roll == 1 and len(elems) > 2:
+        cover.remove_element(e)
+    elif roll == 2:
+        cover.add_to_set(e, s)
+    elif roll == 3 and len(owners) > 1:
+        cover.remove_from_set(e, owners[int(rng.integers(len(owners)))])
+    elif roll == 4:
+        # A brand-new set swallowing many elements joins C through
+        # STABILIZE.
+        sid = s
+        if rng.random() < 0.5:
+            sid, fresh[1] = fresh[1], fresh[1] + 1
+        outside = [x for x in elems if not cover._owners.contains(x, sid)]
+        take = rng.permutation(outside)[:int(rng.integers(1, 13))]
+        cover.add_elems_to_set(take.tolist(), sid)
+    elif roll == 5:
+        others = [x for x in live if x not in owners]
+        take = rng.permutation(others)[:int(rng.integers(1, 11))]
+        cover.add_elem_to_sets(e, take.tolist())
+    elif roll == 6 and len(owners) > 1:
+        take = rng.permutation(owners)[:int(rng.integers(1, len(owners)))]
+        cover.remove_elem_from_sets(e, take.tolist())
+    elif roll == 7 and all(len(cover.sets_of(x)) > 1
+                           for x in cover.members(s)):
+        cover.remove_set(s)
+    elif roll == 8:
+        cover.rebuild()
+    elif roll == 9:
+        with cover.batch():
+            cover.add_to_set(e, s)
+            if len(cover.sets_of(e)) > 1:
+                cover.remove_from_set(e, sorted(cover.sets_of(e))[0])
+            cover.remove_set(fresh[1] + 5)  # absent: a no-op
+    elif roll == 10:
+        if rng.random() < 0.3:
+            system = random_system(rng, 30, 10, density=0.3)
+            cover.build_arrays(
+                [3 * sid for sid in system], [len(m) for m in system.values()],
+                [x for m in system.values() for x in sorted(m)])
+            fresh[1] = max(fresh[1], 3 * 10)
+        else:
+            before = cover.solution()
+            cover = StableSetCover.from_state(cover.export_state())
+            assert cover.solution() == before
+    return cover
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_maintained_solution_tracks_every_sigma(seed):
+    """After every step of a random σ sequence — bulk ops, whole-set
+    removal, universe changes, rebuilds, CSR builds and checkpoint
+    round trips — the solution array holds exactly the sets with a
+    level, and ``is_stable`` agrees."""
+    rng = np.random.default_rng(seed)
+    cover = StableSetCover()
+    cover.build(random_system(rng, 30, 12, density=0.3))
+    _assert_solution_matches_levels(cover)
+    fresh = [1000, 12]
+    for _ in range(150):
+        cover = _random_sigma(cover, rng, fresh)
+        _assert_solution_matches_levels(cover)
+
+
+def test_is_stable_rejects_a_stale_solution_array():
+    cover = StableSetCover()
+    cover.build({3: {0, 1}, 9: {1, 2}, 40: {2, 3}})
+    assert cover.is_stable()
+    held = cover._solution
+    cover._solution = np.append(held, held[0])  # duplicated id
+    assert not cover.is_stable()
+    cover._solution = held[:-1]  # missing id
+    assert not cover.is_stable()
+
+
+def test_solution_read_does_not_scan_the_set_capacity():
+    """``solution()`` reads the |C|-entry array: its peak allocation
+    stays small however many set ids the cover has ever held."""
+    cover = StableSetCover()
+    cover.build({3: {0, 1}, 9: {1, 2}, 40: {2, 3}, 41: {3}})
+    want = cover.solution()
+    cover._ensure_sid(1 << 20)
+    assert cover._level.shape[0] > 1 << 20
+    tracemalloc.start()
+    try:
+        got = cover.solution()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 64 * 1024, peak
 
 
 def _build_per_pair(cover: StableSetCover, membership) -> None:
